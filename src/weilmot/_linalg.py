@@ -16,16 +16,6 @@ from .poly import RationalPolynomial
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(c) for c in row) for row in rows)
-
-
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0]) if b else 0
     bt = list(zip(*b))

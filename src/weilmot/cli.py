@@ -4,7 +4,7 @@ Subcommands: verify | aqalg | filtration | honda | idempotents | zeta-product.
 Input comes from --input PATH (default "-" = stdin; a bare "--" also leaves
 stdin selected).  --json mirrors every number of the human-readable output
 in one machine-readable object.  Exit codes: 0 success, 1 domain failure
-(NotWeil, validation, ...), 2 parse/IO error.
+(NotWeil, validation, ...) or internal error, 2 parse/IO error.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .errors import BadConstantTerm, NotWeil, ParseError, RangeError, WeilmotErr
 from .exact_arith import factor_rational_poly, reciprocal_transform
 from .formats import (
     Report,
+    _require_int,
     decode_coefficient,
     document_from_object,
     document_of_zeta,
@@ -40,9 +41,10 @@ from .padic import newton_polygon
 from .poly import RationalPolynomial
 from .primes import PrimePower
 from .weil import (
-    WeilOrbit,
+    _verified_orbit,
     coniveau_sub,
     mth_root_factors,
+    slope_filtration_dim,
     verify_weil,
     weil_restriction_charpoly,
 )
@@ -70,17 +72,15 @@ def _polygon_payload(poly: RationalPolynomial, q: PrimePower) -> list:
 def _verify_one(z: ZetaData) -> dict:
     report = validate_zeta(z)
     degrees = []
-    for i, l_poly in enumerate(z.l_polys):
-        c = z.charpoly(i)
+    for i, (l_poly, fws) in enumerate(zip(z.l_polys, z.analysis.degrees)):
         factors = []
-        if not c.is_constant:
-            for factor, mult in factor_rational_poly(c).factors:
-                entry = {"poly": encode_polynomial(factor), "multiplicity": mult}
-                try:
-                    entry["weight"] = verify_weil(factor, z.base)
-                except NotWeil as exc:
-                    entry["error"] = exc.reason
-                factors.append(entry)
+        for fw in fws:
+            entry = {"poly": encode_polynomial(fw.factor), "multiplicity": fw.multiplicity}
+            if fw.error is None:
+                entry["weight"] = fw.weight
+            else:
+                entry["error"] = fw.error.reason
+            factors.append(entry)
         degrees.append({
             "i": i,
             "degree": max(l_poly.degree, 0),
@@ -146,7 +146,6 @@ def cmd_verify(args) -> Report:
             f"{r['label']}: {'ok' if r['ok'] else 'FAIL ' + str(r.get('error', ''))}"
             for r in records
         ]
-        human_lines += [f"warning: {d}" for d in diagnostics]
         human_lines.append(f"{sum(r['ok'] for r in records)}/{len(records)} records pass")
         return Report(
             command="verify",
@@ -243,9 +242,7 @@ def cmd_filtration(args) -> Report:
             entry["dim_coniveau"] = coniveau_sub(part, int(r)).dimension
         else:
             entry["dim_coniveau"] = None
-        entry["dim_slope_ge_r"] = sum(
-            m * o.polygon().slots_at_least(r) for o, m in part.parts
-        )
+        entry["dim_slope_ge_r"] = slope_filtration_dim(part, r)
         per_degree.append(entry)
     payload = {"q": z.base.q, "n": z.dim_n, "r": encode_fraction_text(r), "per_degree": per_degree}
     lines = [f"filtration at r = {payload['r']} over F_{z.base.q}:"]
@@ -268,9 +265,7 @@ def cmd_honda(args) -> Report:
     obj = parse_json_text(_read_input(args))
     if not isinstance(obj, dict):
         raise ParseError("honda expects an object {\"q\": ..., \"coeffs\": [...]}")
-    if "q" not in obj:
-        raise ParseError("missing required field 'q'")
-    q = PrimePower.from_q(obj["q"])
+    q = PrimePower.from_q(_require_int(obj, "q"))
     if "coeffs" not in obj or not isinstance(obj["coeffs"], list):
         raise ParseError("missing coefficient list 'coeffs'")
     coeffs = RationalPolynomial(decode_coefficient(c) for c in obj["coeffs"])
@@ -290,8 +285,7 @@ def cmd_honda(args) -> Report:
             w = verify_weil(factor, q)
             entry["weight"] = w
             if w == 1 and factor.is_integral():
-                orbit = WeilOrbit(min_poly=factor, base=q, weight=1)
-                entry["g"] = honda_tate_dimension(orbit)
+                entry["g"] = honda_tate_dimension(_verified_orbit(factor, q, 1))
         except NotWeil as exc:
             entry["error"] = exc.reason
         factors.append(entry)
@@ -454,6 +448,13 @@ def main(argv=None) -> int:
         report = Report(
             command=args.command, ok=False, exit_code=1,
             payload={"error": detail, "error_kind": "domain"},
+            human=detail + "\n",
+        )
+    except Exception as exc:  # last resort: a bug, still one report and no traceback
+        detail = f"internal error: {type(exc).__name__}: {exc}"
+        report = Report(
+            command=args.command, ok=False, exit_code=1,
+            payload={"error": detail, "error_kind": "internal"},
             human=detail + "\n",
         )
     stream = sys.stdout if report.exit_code == 0 else sys.stderr

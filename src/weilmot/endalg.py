@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     CertificationFailed,
@@ -86,18 +85,14 @@ def _lcm(values) -> int:
 
 
 def _effective_model(min_poly: RationalPolynomial, base: PrimePower):
-    """Scale roots by q^r until the minimal polynomial is integral."""
-    if min_poly.is_integral():
-        return min_poly, 0
-    q = base.q
-    for r in range(1, 1 + 4 * max(1, min_poly.degree) * 64):
-        scaled = min_poly.scale_roots(q ** r)
-        if scaled.is_integral():
-            return scaled, r
-    raise WeilmotError("could not clear denominators; not a Weil orbit")
+    """Scale roots by q^r, r = max(0, ceil(-min slope)): the least integral twist."""
+    r = max(0, math.ceil(-newton_polygon(min_poly, base).min_slope))
+    scaled = min_poly.scale_roots(base.q ** r) if r else min_poly
+    if not scaled.is_integral():
+        raise WeilmotError("could not clear denominators; not a Weil orbit")
+    return scaled, r
 
 
-@lru_cache(maxsize=None)
 def _orbit_places(min_poly: RationalPolynomial, base: PrimePower) -> tuple[PlaceData, ...]:
     """Places of the orbit field, with slopes of the *original* eigenvalues.
 

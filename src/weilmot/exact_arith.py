@@ -30,7 +30,8 @@ from .errors import (
     RangeError,
     ZeroPolynomial,
 )
-from .poly import RationalPolynomial, poly_product
+from .poly import RationalPolynomial
+from .primes import is_prime
 
 MAX_COMPANION_DIM = 4096
 
@@ -60,34 +61,11 @@ class Factorization:
 
 # ------------------------------------------------------------- factorization
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % small == 0:
-            return n == small
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _odd_primes():
     yield from _SMALL_PRIMES
     n = _SMALL_PRIMES[-1] + 2
     while True:
-        if _is_prime(n):
+        if is_prime(n):
             yield n
         n += 2
 
@@ -256,9 +234,7 @@ def _sturm_chain(p: RationalPolynomial) -> list[RationalPolynomial]:
     return chain
 
 
-def _sign_at(p: RationalPolynomial, x) -> int:
-    if x is None:
-        return 0
+def _sign_at(p: RationalPolynomial, x: Fraction) -> int:
     v = p(x)
     return (v > 0) - (v < 0)
 
@@ -277,6 +253,13 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
 
 
+def _variations_at(chain: list[RationalPolynomial], x, positive: bool) -> int:
+    """Sign variations of a Sturm chain at rational x, or at +-inf when x is None."""
+    if x is None:
+        return _variations([_sign_at_inf(q, positive) for q in chain])
+    return _variations([_sign_at(q, Fraction(x)) for q in chain])
+
+
 def sturm_count(p: RationalPolynomial, lo=None, hi=None) -> int:
     """Exact number of distinct real roots of squarefree p in (lo, hi].
 
@@ -291,22 +274,20 @@ def sturm_count(p: RationalPolynomial, lo=None, hi=None) -> int:
     if lo is not None and hi is not None and Fraction(lo) >= Fraction(hi):
         raise RangeError("empty interval: lo must be < hi")
     chain = _sturm_chain(p)
-    if lo is None:
-        at_lo = [_sign_at_inf(q, positive=False) for q in chain]
-    else:
-        at_lo = [_sign_at(q, Fraction(lo)) for q in chain]
-    if hi is None:
-        at_hi = [_sign_at_inf(q, positive=True) for q in chain]
-    else:
-        at_hi = [_sign_at(q, Fraction(hi)) for q in chain]
-    return _variations(at_lo) - _variations(at_hi)
+    return _variations_at(chain, lo, False) - _variations_at(chain, hi, True)
 
 
-def count_real_roots(p: RationalPolynomial) -> int:
-    """Distinct real roots of an arbitrary nonzero polynomial (squarefrees first)."""
-    if p.is_constant:
-        return 0
-    return sturm_count(p.squarefree_part())
+def sturm_variations(p: RationalPolynomial, points) -> tuple[int, ...]:
+    """Variations of one Sturm chain at -inf, each point, +inf (see sturm_count).
+
+    p must be squarefree and nonconstant; unlike sturm_count it is not re-checked.
+    """
+    chain = _sturm_chain(p)
+    return (
+        _variations_at(chain, None, False),
+        *(_variations_at(chain, x, False) for x in points),
+        _variations_at(chain, None, True),
+    )
 
 
 # ----------------------------------------------------------------------- CRT
@@ -431,7 +412,3 @@ def root_multiplicity(p: RationalPolynomial, value) -> int:
         count += 1
     return count
 
-
-def poly_from_factors(factors) -> RationalPolynomial:
-    """Product of (factor, multiplicity) pairs."""
-    return poly_product(f ** m for f, m in factors)

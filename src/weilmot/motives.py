@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     BadConstantTerm,
@@ -27,9 +28,9 @@ from .exact_arith import (
     tensor_charpoly,
     to_l_polynomial,
 )
-from .poly import RationalPolynomial, poly
+from .poly import RationalPolynomial, poly, poly_product
 from .primes import PrimePower
-from .weil import NotWeil, TateStructure, WeilOrbit, tate_twist, verify_weil
+from .weil import NotWeil, TateStructure, WeilOrbit, _verified_orbit, tate_twist, verify_weil
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,11 @@ class ZetaData:
     def charpolys(self) -> list[RationalPolynomial]:
         return [self.charpoly(i) for i in range(2 * self.dim_n + 1)]
 
+    @cached_property
+    def analysis(self) -> "ZetaAnalysis":
+        """The one factor-and-verify pass over this datum, computed once."""
+        return _analyze(self)
+
 
 @dataclass(frozen=True)
 class ZetaCheck:
@@ -77,6 +83,25 @@ class ZetaReport:
 
     def failures(self) -> list[ZetaCheck]:
         return [c for c in self.checks if not c.ok]
+
+
+@dataclass(frozen=True)
+class FactorWeight:
+    """One irreducible factor of C_i: multiplicity and verified weight or failure."""
+
+    factor: RationalPolynomial
+    multiplicity: int
+    weight: int | None
+    error: NotWeil | None = None
+
+
+@dataclass(frozen=True)
+class ZetaAnalysis:
+    """Factors of each C_i (none when constant), the checks, the motive if valid."""
+
+    degrees: tuple[tuple[FactorWeight, ...], ...]
+    report: ZetaReport
+    motive: "Motive | None"
 
 
 @dataclass(frozen=True)
@@ -144,19 +169,15 @@ def zeta_from_curve(l1: RationalPolynomial, q: PrimePower) -> ZetaData:
         raise BadConstantTerm(f"L1(0) = {l1.constant_term}, expected 1")
     if l1.degree % 2 != 0:
         raise OddDegree(f"deg L1 = {l1.degree} is odd")
-    c1 = reciprocal_transform(l1)
-    if c1.degree > 0:
-        for factor, _ in factor_rational_poly(c1).factors:
-            w = verify_weil(factor, q)
-            if w != 1:
-                raise NotWeil(
-                    f"factor {factor} has weight {w}, not 1", reason="weight"
-                )
-    return ZetaData(
-        base=q,
-        dim_n=1,
-        l_polys=(poly((1, -1)), l1, poly((1, -q.q))),
-    )
+    z = ZetaData(base=q, dim_n=1, l_polys=(poly((1, -1)), l1, poly((1, -q.q))))
+    for fw in z.analysis.degrees[1]:
+        if fw.error is not None:
+            raise fw.error
+        if fw.weight != 1:
+            raise NotWeil(
+                f"factor {fw.factor} has weight {fw.weight}, not 1", reason="weight"
+            )
+    return z
 
 
 def zeta_point(q: PrimePower) -> ZetaData:
@@ -183,10 +204,14 @@ def zeta_product(x: ZetaData, y: ZetaData) -> ZetaData:
 
 # --------------------------------------------------------------- validation
 
-def validate_zeta(z: ZetaData) -> ZetaReport:
-    """Weights, endpoint polynomials, and pairwise coprimality; never raises."""
-    checks: list[ZetaCheck] = []
+def _analyze(z: ZetaData) -> ZetaAnalysis:
+    """Factor each C_i once, verify each factor once, decide coprimality.
+
+    Checks run in order: endpoints, weights, coprime pairs, with
+    gcd(C_i, C_j) = prod f^min(m_i, m_j) over the shared factors f.
+    """
     n, q = z.dim_n, z.base
+    checks: list[ZetaCheck] = []
     checks.append(ZetaCheck(
         "endpoint", "i=0", z.l_polys[0] == poly((1, -1)),
         f"P_0 = {z.l_polys[0]}, expected 1 - T",
@@ -196,32 +221,51 @@ def validate_zeta(z: ZetaData) -> ZetaReport:
         "endpoint", f"i={2 * n}", z.l_polys[2 * n] == expected_top,
         f"P_{2 * n} = {z.l_polys[2 * n]}, expected 1 - q^{n}*T",
     ))
-    transforms = z.charpolys()
-    for i, c in enumerate(transforms):
-        if c.is_constant:
-            continue
-        for factor, _ in factor_rational_poly(c).factors:
-            try:
-                w = verify_weil(factor, q)
-                ok, detail = w == i, f"factor {factor} has weight {w}"
-            except NotWeil as exc:
-                ok, detail = False, f"factor {factor}: {exc.reason}"
-            checks.append(ZetaCheck("weight", f"i={i}", ok, detail))
-    nonconstant = [(i, c) for i, c in enumerate(transforms) if not c.is_constant]
-    for a in range(len(nonconstant)):
-        for b in range(a + 1, len(nonconstant)):
-            i, ci = nonconstant[a]
-            j, cj = nonconstant[b]
-            g = ci.gcd(cj)
+    degrees: list[tuple[FactorWeight, ...]] = []
+    for i, c in enumerate(z.charpolys()):
+        factors = []
+        if not c.is_constant:
+            for factor, mult in factor_rational_poly(c).factors:
+                try:
+                    w = verify_weil(factor, q)
+                    fw = FactorWeight(factor, mult, w)
+                    ok, detail = w == i, f"factor {factor} has weight {w}"
+                except NotWeil as exc:
+                    fw = FactorWeight(factor, mult, None, exc)
+                    ok, detail = False, f"factor {factor}: {exc.reason}"
+                factors.append(fw)
+                checks.append(ZetaCheck("weight", f"i={i}", ok, detail))
+        degrees.append(tuple(factors))
+    multisets = [
+        (i, {fw.factor: fw.multiplicity for fw in fws})
+        for i, fws in enumerate(degrees) if fws
+    ]
+    for a, (i, mi) in enumerate(multisets):
+        for j, mj in multisets[a + 1:]:
+            g = poly_product(f ** min(m, mj[f]) for f, m in mi.items() if f in mj)
             checks.append(ZetaCheck(
                 "coprime", f"i={i},j={j}", g.is_constant,
                 f"gcd(C_{i}, C_{j}) = {g}",
             ))
-    return ZetaReport(checks=tuple(checks))
+    report = ZetaReport(checks=tuple(checks))
+    motive = None
+    if report.passed:
+        motive = Motive(base=q, graded_parts=tuple(
+            (i, TateStructure(base=q, parts=tuple(
+                (_verified_orbit(fw.factor, q, i), fw.multiplicity) for fw in fws
+            )))
+            for i, fws in enumerate(degrees) if fws
+        ))
+    return ZetaAnalysis(degrees=tuple(degrees), report=report, motive=motive)
+
+
+def validate_zeta(z: ZetaData) -> ZetaReport:
+    """Weights, endpoint polynomials, and pairwise coprimality; never raises."""
+    return z.analysis.report
 
 
 def _require_valid(z: ZetaData) -> None:
-    report = validate_zeta(z)
+    report = z.analysis.report
     if not report.passed:
         raise ValidationFailed(
             "; ".join(f"{c.name}[{c.where}]: {c.detail}" for c in report.failures()),
@@ -234,16 +278,7 @@ def _require_valid(z: ZetaData) -> None:
 def motive_of(z: ZetaData) -> Motive:
     """Orbit decomposition of each cohomological degree, graded by weight."""
     _require_valid(z)
-    parts = []
-    for i, c in enumerate(z.charpolys()):
-        if c.is_constant:
-            continue
-        orbit_list = [
-            (WeilOrbit(min_poly=f, base=z.base, weight=i), mult)
-            for f, mult in factor_rational_poly(c).factors
-        ]
-        parts.append((i, TateStructure(base=z.base, parts=tuple(orbit_list))))
-    return Motive(base=z.base, graded_parts=tuple(parts))
+    return z.analysis.motive
 
 
 def kunneth_idempotents(z: ZetaData) -> list[RationalPolynomial]:

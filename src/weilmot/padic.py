@@ -31,7 +31,7 @@ from .exact_arith import is_irreducible
 from .poly import RationalPolynomial
 from .primes import PrimePower
 
-DEFAULT_PRECISION = 24
+SHIFT_BUDGET = 24  # shifts T -> T + s tried before PrecisionExhausted
 
 
 def ord_int(n: int, p: int) -> int:
@@ -248,7 +248,7 @@ def _analyze_block(coeffs: list[int], p: int, n_digits: int) -> list[tuple[Fract
     return None
 
 
-def _shift_schedule(p: int, budget: int) -> list[int]:
+def _shift_schedule(p: int) -> list[int]:
     shifts = [0]
     for k in (0, 1, 2, 3):
         base = p ** k
@@ -256,7 +256,7 @@ def _shift_schedule(p: int, budget: int) -> list[int]:
             for s in (t * base, -t * base):
                 if s not in shifts:
                     shifts.append(s)
-    return shifts[: max(budget, 1)]
+    return shifts[:SHIFT_BUDGET]
 
 
 def _match_degrees(
@@ -320,10 +320,8 @@ def _discriminant_valuation(p_poly: RationalPolynomial, p: int) -> int:
     return ord_frac(resultant, p)
 
 
-@lru_cache(maxsize=None)
-def _places_cached(
-    p_poly: RationalPolynomial, q: PrimePower, precision: int
-) -> tuple[PlaceData, ...]:
+@lru_cache(maxsize=4096)
+def _places_cached(p_poly: RationalPolynomial, q: PrimePower) -> tuple[PlaceData, ...]:
     p, a = q.p, q.a
     if p_poly.degree == 1:
         slope = Fraction(ord_frac(-p_poly.constant_term, p), a)
@@ -335,7 +333,7 @@ def _places_cached(
         original_counts[s] = original_counts.get(s, 0) + m
     disc_val = _discriminant_valuation(p_poly, p)
 
-    for shift in _shift_schedule(p, precision):
+    for shift in _shift_schedule(p):
         shifted = p_poly.shift(shift) if shift else p_poly
         n_digits = disc_val + ord_int(int(shifted.constant_term), p) + 8
         modulus = p ** n_digits
@@ -361,9 +359,7 @@ def _places_cached(
     )
 
 
-def padic_places(
-    p_poly: RationalPolynomial, q: PrimePower, precision: int = DEFAULT_PRECISION
-) -> list[PlaceData]:
+def padic_places(p_poly: RationalPolynomial, q: PrimePower) -> list[PlaceData]:
     """Places v | p of the field cut out by an irreducible integer polynomial.
 
     Returns one PlaceData per Q_p-irreducible factor, slopes normalized so
@@ -373,8 +369,6 @@ def padic_places(
     the shift schedule) raise PrecisionExhausted: failures surface, nothing
     is approximated.
     """
-    if precision < 1:
-        raise RangeError("precision must be a positive integer")
     if not p_poly.is_monic:
         raise NotMonic("padic_places requires a monic polynomial")
     if p_poly.constant_term == 0:
@@ -383,4 +377,4 @@ def padic_places(
         raise RangeError("padic_places requires integer coefficients")
     if p_poly.degree != 1 and not is_irreducible(p_poly):
         raise NotIrreducible(f"{p_poly} is not irreducible over Q")
-    return list(_places_cached(p_poly, q, precision))
+    return list(_places_cached(p_poly, q))

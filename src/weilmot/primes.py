@@ -31,6 +31,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1 by bisection on lo^k <= n < hi^k (no floats)."""
+    lo, hi = 1, 1 << (n.bit_length() // k + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** k <= n else (lo, mid)
+    return lo
+
+
 @dataclass(frozen=True, order=True)
 class PrimePower:
     """q = p^a with p prime and a >= 1."""
@@ -53,25 +62,11 @@ class PrimePower:
         """Factor q as p^a; raises RangeError if q is not a prime power."""
         if q < 2:
             raise RangeError(f"q = {q} is not a prime power")
-        p = None
-        n = q
-        for cand in range(2, 1000):
-            if cand * cand > q:
-                break
-            if n % cand == 0:
-                p = cand
-                break
-        if p is None:
-            p = q  # q prime (or a power of a large prime, handled below)
-            if not is_prime(p):
-                raise RangeError(f"q = {q} is not a prime power")
-        a = 0
-        while n % p == 0:
-            n //= p
-            a += 1
-        if n != 1:
-            raise RangeError(f"q = {q} is not a prime power")
-        return cls(p, a)
+        for a in range(1, q.bit_length() + 1):
+            p = _integer_root(q, a)
+            if p ** a == q and is_prime(p):
+                return cls(p, a)
+        raise RangeError(f"q = {q} is not a prime power")
 
     def power(self, m: int) -> "PrimePower":
         """q^m as a PrimePower."""

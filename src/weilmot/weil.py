@@ -22,7 +22,7 @@ from .errors import (
     WeightMismatch,
     ZeroConstantTerm,
 )
-from .exact_arith import factor_rational_poly, sturm_count
+from .exact_arith import factor_rational_poly, sturm_variations
 from .padic import newton_polygon, ord_frac
 from .poly import RationalPolynomial
 from .primes import PrimePower
@@ -97,13 +97,14 @@ def verify_weil(p_poly: RationalPolynomial, q: PrimePower) -> int:
     g_sf = gamma_poly.squarefree_part()
     n_roots = g_sf.degree
     root_at_zero = 1 if g_sf.constant_term == 0 else 0
-    total_real = sturm_count(g_sf)
+    at_neg_inf, at_zero, at_bound, at_pos_inf = sturm_variations(g_sf, (0, 4 * qm))
+    total_real = at_neg_inf - at_pos_inf
     if total_real < n_roots:
         raise NotWeil("beta is not totally real", reason="not-totally-real")
-    negatives = sturm_count(g_sf, None, 0) - root_at_zero
+    negatives = at_neg_inf - at_zero - root_at_zero
     if negatives:
         raise NotWeil("beta has imaginary embeddings", reason="not-totally-real")
-    in_range = sturm_count(g_sf, 0, 4 * qm) + root_at_zero
+    in_range = at_zero - at_bound + root_at_zero
     if in_range < n_roots:
         raise NotWeil(
             f"some |beta| exceeds 2*q^(m/2) for m = {m}", reason="root-bound"
@@ -115,8 +116,10 @@ def verify_weil(p_poly: RationalPolynomial, q: PrimePower) -> int:
 class WeilOrbit:
     """Galois orbit of a Weil q-number: monic irreducible min_poly, base, weight.
 
-    The Weil condition is re-verified exactly on construction; irreducibility
-    is the constructor's caller's responsibility (factorization outputs are).
+    The public constructor verifies the Weil condition and the weight exactly;
+    orbits made inside the package (zeta-datum analysis, Tate twists) come
+    already verified.  Irreducibility is the constructor's caller's
+    responsibility (factorization outputs are).
     """
 
     min_poly: RationalPolynomial
@@ -139,6 +142,13 @@ class WeilOrbit:
 
     def sort_key(self):
         return self.min_poly.sort_key()
+
+
+def _verified_orbit(min_poly: RationalPolynomial, base: PrimePower, weight: int) -> WeilOrbit:
+    """A WeilOrbit whose weight the caller has already verified; skips the re-check."""
+    orbit = object.__new__(WeilOrbit)
+    orbit.__dict__.update(min_poly=min_poly, base=base, weight=weight)
+    return orbit
 
 
 @dataclass(frozen=True)
@@ -190,7 +200,7 @@ def tate_twist_orbit(orbit: WeilOrbit, r: int) -> WeilOrbit:
     if r == 0:
         return orbit
     scaled = orbit.min_poly.scale_roots(Fraction(1, orbit.base.q) ** r)
-    return WeilOrbit(min_poly=scaled, base=orbit.base, weight=orbit.weight - 2 * r)
+    return _verified_orbit(scaled, orbit.base, orbit.weight - 2 * r)
 
 
 def tate_twist(v: TateStructure, r: int) -> TateStructure:

@@ -200,3 +200,39 @@ def test_json_error_object_on_domain_failure(capsys, monkeypatch):
     assert code == 1
     obj = json.loads(out)
     assert obj["ok"] is False and obj["error_kind"] == "domain"
+
+
+def test_honda_non_integer_q_is_parse_error(capsys, monkeypatch):
+    for q in ('"4"', "4.0"):
+        code, out, _ = run_cli(
+            ["honda", "--json"], f'{{"q": {q}, "coeffs": [1, -4]}}', capsys, monkeypatch
+        )
+        assert code == 2, q
+        obj = json.loads(out)
+        assert obj["error_kind"] == "parse"
+        assert obj["error"].startswith("field 'q' must be an integer")
+
+
+def test_internal_error_is_one_report_without_traceback(capsys, monkeypatch):
+    import weilmot.cli as cli
+
+    def broken(args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "cmd_verify", broken)
+    code, out, _ = run_cli(["verify", "--json"], ELLIPTIC_DOC, capsys, monkeypatch)
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["ok"] is False and obj["error_kind"] == "internal"
+    assert obj["error"] == "internal error: ZeroDivisionError: boom"
+    code, out, err = run_cli(["verify"], ELLIPTIC_DOC, capsys, monkeypatch)
+    assert code == 1
+    assert out == "" and err == "internal error: ZeroDivisionError: boom\n"
+
+
+def test_isogeny_diagnostics_printed_once(capsys, monkeypatch):
+    text = (DATA_DIR / "isogeny_sample_bad.jsonl").read_text()
+    code, out, err = run_cli(["verify", "--isogeny"], text, capsys, monkeypatch)
+    assert code == 0
+    for line in (2, 4, 5):
+        assert (out + err).count(f"line {line}:") == 1

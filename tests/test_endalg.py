@@ -98,6 +98,19 @@ def test_brauer_block_noneffective_orbit():
     assert b.index_e == 1 and b.invariant_sum == 0
 
 
+def test_effective_model_is_the_least_integral_twist():
+    from weilmot import WeilmotError, tate_twist_orbit
+    from weilmot.endalg import _effective_model
+
+    for coeffs in ((2, -1, 1), (2, 0, 1)):  # slopes {0, 1} and {1/2, 1/2}
+        o = orbit(coeffs, Q2, 1)
+        for r in range(4):
+            model, shift = _effective_model(tate_twist_orbit(o, r).min_poly, Q2)
+            assert (model, shift) == (o.min_poly, r)
+    with pytest.raises(WeilmotError, match="could not clear denominators"):
+        _effective_model(poly((Fraction(1, 3), 1)), Q2)  # 3 is not a power of p
+
+
 # ----------------------------------------------------------------- compute_A
 
 def test_compute_A_point():

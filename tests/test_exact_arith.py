@@ -25,6 +25,7 @@ from weilmot.exact_arith import (
     reciprocal_transform,
     root_multiplicity,
     sturm_count,
+    sturm_variations,
     tensor_charpoly,
     to_l_polynomial,
 )
@@ -130,6 +131,23 @@ def test_sturm_total_matches_float_pairing(seed):
     real = sum(1 for im in imags if im <= 1e-9)
     assert sturm_count(p) == real
     assert p.degree - real == 2 * sum(1 for r in roots if r.imag > 1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_sturm_variations_match_sturm_count(seed):
+    # one chain read at several points gives every interval count
+    import random
+
+    rng = random.Random(seed)
+    p = random_squarefree(rng, 8)
+    points = sorted({Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(4)})
+    variations = sturm_variations(p, points)
+    assert len(variations) == len(points) + 2
+    assert variations[0] - variations[-1] == sturm_count(p)
+    ends = [None, *points, None]
+    for k, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        assert variations[k] - variations[k + 1] == sturm_count(p, lo, hi)
 
 
 # --------------------------------------------------------------------- CRT

@@ -52,10 +52,17 @@ def test_zeta_from_curve_examples():
 def test_zeta_from_curve_rejections():
     with pytest.raises(OddDegree):
         zeta_from_curve(poly((1, -1, 0, 2)), Q2)
-    with pytest.raises(NotWeil):
+    with pytest.raises(NotWeil) as weight:
         zeta_from_curve(poly((1, -3, 2)), Q2)  # factors have weights 0 and 2
-    with pytest.raises(NotWeil):
+    assert weight.value.reason == "weight"
+    assert str(weight.value) == "factor T - 2 has weight 2, not 1"
+    with pytest.raises(NotWeil) as valuation:
         zeta_from_curve(poly((1, -3, 3)), Q2)  # wrong constant valuation
+    assert valuation.value.reason == "constant-valuation"
+    assert str(valuation.value) == "|P(0)| = 3 is not a power of p = 2"
+    with pytest.raises(NotWeil) as bound:
+        zeta_from_curve(poly((1, 5, 2)), Q2)  # real roots past the Weil bound
+    assert bound.value.reason == "root-bound"
     with pytest.raises(BadConstantTerm):
         zeta_from_curve(poly((2, -1, 2)), Q2)
 
@@ -121,6 +128,55 @@ def test_motive_of_examples():
     p1p1 = zeta_product(*(zeta_from_curve(poly((1,)), Q2),) * 2)
     part2 = motive_of(p1p1).part(2)
     assert part2.parts[0][1] == 2  # (T - q, mult 2)
+
+
+def test_coprime_checks_match_polynomial_gcd():
+    # the coprime checks are read off the factorizations; the text must be
+    # exactly the monic gcd
+    e = elliptic_zeta(2, 1)
+    data = [
+        e,
+        zeta_product(e, e),
+        zeta_raw(Q2, 1, [(1, -1), (1, -3, 2), (1, -2)]),
+        zeta_raw(Q2, 2, [(1, -1), (1,), (1, -4, 4), (1, -6, 12, -8), (1, -4)]),
+        zeta_raw(Q2, 1, [(1, -1), (1, -5, 8, -4), (1, -2)]),  # C_1 = (T-1)(T-2)^2
+    ]
+    for z in data:
+        charpolys = z.charpolys()
+        coprime = [c for c in validate_zeta(z).checks if c.name == "coprime"]
+        assert coprime
+        for check in coprime:
+            i, j = (int(part.split("=")[1]) for part in check.where.split(","))
+            g = charpolys[i].gcd(charpolys[j])
+            assert check.detail == f"gcd(C_{i}, C_{j}) = {g}"
+            assert check.ok == g.is_constant
+
+
+def test_one_analysis_pass_per_datum(monkeypatch):
+    import weilmot.motives as motives
+    from weilmot import compute_A, witt_vector_rank
+
+    counts = {"factor": 0, "verify": 0}
+    factor, verify = motives.factor_rational_poly, motives.verify_weil
+
+    def counting_factor(c):
+        counts["factor"] += 1
+        return factor(c)
+
+    def counting_verify(f, q):
+        counts["verify"] += 1
+        return verify(f, q)
+
+    monkeypatch.setattr(motives, "factor_rational_poly", counting_factor)
+    monkeypatch.setattr(motives, "verify_weil", counting_verify)
+    z = zeta_raw(Q2, 1, [(1, -1), (1, -1, 2), (1, -2)])
+    assert validate_zeta(z).passed
+    assert motive_of(z) is motive_of(z)
+    assert pole_order(z, 1) == k_group_dim(z, 0, 1) == 1
+    compute_A(z)
+    witt_vector_rank(z)
+    complex_of(z)
+    assert counts == {"factor": 3, "verify": 3}  # C_0, C_1, C_2 each once
 
 
 def test_motive_of_requires_validity():

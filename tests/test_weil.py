@@ -44,6 +44,19 @@ def test_verify_examples():
     assert exc.value.reason == "constant-valuation"
 
 
+def test_public_orbit_verifies_and_twists_stay_verified():
+    with pytest.raises(WeightMismatch):
+        orbit((2, -1, 1), Q2, 2)
+    with pytest.raises(NotWeil):
+        orbit((6, -1, 1), Q2, 1)
+    o = orbit((2, -1, 1), Q2, 1)
+    for r in range(-2, 3):
+        twisted = tate_twist_orbit(o, r)
+        assert twisted.weight == 1 - 2 * r
+        assert verify_weil(twisted.min_poly, Q2) == twisted.weight
+        assert twisted == WeilOrbit(twisted.min_poly, Q2, twisted.weight)
+
+
 def test_verify_negative_weight_and_boundary():
     # 1/2 over q=2 has weight -2 (Tate twists produce these).
     assert verify_weil(poly((Fraction(1, 2), 1)), Q2) == -2
