@@ -50,7 +50,7 @@ class KTooLarge(WeilmotError):
 
 
 class DimensionTooLarge(WeilmotError):
-    """Companion-matrix construction would exceed the supported dimension."""
+    """A tensor or exterior charpoly would exceed the supported degree (MAX_COMPANION_DIM)."""
 
 
 # ---------------------------------------------------------------------- padic

@@ -2,8 +2,8 @@
 
 Factorization over Q (squarefree decomposition + Zassenhaus), Sturm-sequence
 real root counting, polynomial CRT, L-polynomial/charpoly reciprocal
-transforms, and tensor/exterior characteristic polynomials via exact
-companion-matrix linear algebra.
+transforms, and tensor/exterior characteristic polynomials from exact power
+sums of roots (Newton's identities).
 
 All functions are pure and all values immutable; everything here is safe to
 share between threads.
@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import _modp
-from ._linalg import charpoly, companion, compound, kron
+from ._linalg import charpoly, power_sums
 from .errors import (
     BadConstantTerm,
     DegreeHintMismatch,
@@ -305,16 +305,17 @@ def crt_polynomials(
     for idx, (_, m) in enumerate(pairs):
         if m.degree < 1:
             raise RangeError(f"modulus #{idx} is constant")
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            g = pairs[i][1].gcd(pairs[j][1])
-            if not g.is_constant:
-                raise NotCoprime(
-                    f"moduli #{i} and #{j} share the factor {g}", pair=(i, j)
-                )
     r, m = pairs[0][0] % pairs[0][1], pairs[0][1]
     for res_k, mod_k in pairs[1:]:
-        _, u, _ = m.xgcd(mod_k)
+        g, u, _ = m.xgcd(mod_k)
+        if not g.is_constant:
+            # Name the lexicographically first pair of moduli sharing a factor.
+            for i, j in combinations(range(len(pairs)), 2):
+                g = pairs[i][1].gcd(pairs[j][1])
+                if not g.is_constant:
+                    raise NotCoprime(
+                        f"moduli #{i} and #{j} share the factor {g}", pair=(i, j)
+                    )
         t = (u * (res_k - r)) % mod_k
         r = r + m * t
         m = m * mod_k
@@ -360,9 +361,9 @@ def tensor_charpoly(
 ) -> RationalPolynomial:
     """Monic polynomial whose roots are the pairwise products of roots.
 
-    Computed exactly as the characteristic polynomial of the Kronecker
-    product of the companion matrices.  Linear operands short-circuit to a
-    root rescaling, which keeps zeta-function Kunneth products fast.
+    The j-th power sum of the products is s_j(P) * s_j(Q), and the charpoly
+    is read off those by Newton's identities.  Linear operands short-circuit
+    to a root rescaling, which keeps zeta-function Kunneth products fast.
     """
     _require_monic_nonconstant(p, "P")
     _require_monic_nonconstant(q, "Q")
@@ -375,7 +376,7 @@ def tensor_charpoly(
     if q.degree == 1:
         b = -q.constant_term
         return _scale_roots_or_zero(p, b)
-    return charpoly(kron(companion(p), companion(q)))
+    return charpoly([a * b for a, b in zip(power_sums(p, dim), power_sums(q, dim))])
 
 
 def _scale_roots_or_zero(p: RationalPolynomial, s: Fraction) -> RationalPolynomial:
@@ -387,7 +388,9 @@ def _scale_roots_or_zero(p: RationalPolynomial, s: Fraction) -> RationalPolynomi
 def exterior_charpoly(p: RationalPolynomial, k: int) -> RationalPolynomial:
     """Monic polynomial whose roots are products of k distinct-index roots.
 
-    Characteristic polynomial of the k-th compound of the companion matrix.
+    The j-th power sum of those products is e_k(alpha^j), the k-th elementary
+    symmetric function of the j-th powers of the roots alpha; the power sums
+    of the alpha^j are s_j, s_2j, ..., s_kj.
     """
     _require_monic_nonconstant(p, "P")
     if k < 1:
@@ -397,7 +400,13 @@ def exterior_charpoly(p: RationalPolynomial, k: int) -> RationalPolynomial:
     dim = math.comb(p.degree, k)
     if dim > MAX_COMPANION_DIM:
         raise DimensionTooLarge(f"exterior dimension {dim} > {MAX_COMPANION_DIM}")
-    return charpoly(compound(companion(p), k))
+    s = power_sums(p, k * dim)
+    sign = -1 if k % 2 else 1
+    traces = [dim] + [
+        sign * charpoly([p.degree] + s[j: k * j + 1: j]).constant_term
+        for j in range(1, dim + 1)
+    ]
+    return charpoly(traces)
 
 
 def root_multiplicity(p: RationalPolynomial, value) -> int:

@@ -7,18 +7,29 @@ from dataclasses import dataclass
 from .errors import RangeError
 
 
+# Miller-Rabin with the prime bases 2..41 is proven correct below psi_13
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_PROVEN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for anything desk scale and far beyond)."""
+    """Deterministic Miller-Rabin, exact below MR_PROVEN_BOUND (about 3.3e24).
+
+    Composites are always reported (a witness is a proof); an n at or above
+    the bound that passes every base raises RangeError instead of returning
+    an unproven True.
+    """
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_BASES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -28,6 +39,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= MR_PROVEN_BOUND:
+        raise RangeError(
+            f"primality of {n} is unproven at or above {MR_PROVEN_BOUND}"
+        )
     return True
 
 

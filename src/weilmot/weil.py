@@ -3,17 +3,19 @@
 Verification is fully exact: a monic irreducible P is the minimal polynomial
 of a Weil q-number of weight m iff |P(0)| is the right power of p, the
 coefficient denominators are p-powers, and every root of the associated
-totally-real test polynomial (eigenvalues beta = alpha + q^m/alpha, squared)
-lies in [0, 4q^m] -- all checked by exact charpolys and Sturm counts, so
-adversarial near-misses are rejected bit-exactly.
+totally-real test polynomial (the values beta^2 for beta = alpha + q^m/alpha)
+lies in [0, 4q^m] -- all checked by an exact charpoly built from power sums
+of the roots and by Sturm counts, so adversarial near-misses are rejected
+bit-exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import charpoly, companion, inverse, mat_add, mat_mul, mat_scale
+from ._linalg import charpoly, power_sums
 from .errors import (
     NotEffectiveInput,
     NotMonic,
@@ -60,8 +62,8 @@ def verify_weil(p_poly: RationalPolynomial, q: PrimePower) -> int:
     Exact verification: the unique candidate m is pinned by the constant
     term; beta = alpha + q^m/alpha must be totally real with beta^2 in
     [0, 4q^m] for every embedding, which is tested through Sturm counts on
-    the characteristic polynomial of (C + q^m C^{-1})^2 for the companion
-    matrix C.  Raises NotWeil with a reason on any failure.
+    the polynomial whose roots are the beta^2 (_beta_squared_charpoly).
+    Raises NotWeil with a reason on any failure.
     """
     if not p_poly.is_monic or p_poly.degree < 1:
         raise NotMonic("verify_weil requires a monic polynomial of degree >= 1")
@@ -91,10 +93,7 @@ def verify_weil(p_poly: RationalPolynomial, q: PrimePower) -> int:
     m = two_ord // (a * d)
     qm = Fraction(q.q) ** m
 
-    c_mat = companion(p_poly)
-    beta = mat_add(c_mat, mat_scale(inverse(c_mat), qm))
-    gamma_poly = charpoly(mat_mul(beta, beta))  # eigenvalues beta^2
-    g_sf = gamma_poly.squarefree_part()
+    g_sf = _beta_squared_charpoly(p_poly, qm).squarefree_part()
     n_roots = g_sf.degree
     root_at_zero = 1 if g_sf.constant_term == 0 else 0
     at_neg_inf, at_zero, at_bound, at_pos_inf = sturm_variations(g_sf, (0, 4 * qm))
@@ -110,6 +109,27 @@ def verify_weil(p_poly: RationalPolynomial, q: PrimePower) -> int:
             f"some |beta| exceeds 2*q^(m/2) for m = {m}", reason="root-bound"
         )
     return m
+
+
+def _beta_squared_charpoly(p_poly: RationalPolynomial, qm: Fraction) -> RationalPolynomial:
+    """Monic polynomial with roots beta^2, beta = alpha + qm/alpha over the roots of P.
+
+    Needs P(0) != 0.  s_j(beta^2) = sum_{i=0}^{2j} C(2j, i) qm^(2j-i) s_{2i-2j}(alpha),
+    where a negative index is a power sum of the 1/alpha, the roots of the
+    reversed P made monic.
+    """
+    d = p_poly.degree
+    pos = power_sums(p_poly, 2 * d)
+    neg = power_sums(p_poly.reversed_coeffs().monic(), 2 * d)
+    qpow = [qm ** e for e in range(2 * d + 1)]
+    traces = [d] + [
+        sum(
+            math.comb(2 * j, i) * qpow[2 * j - i] * (pos[2 * (i - j)] if i >= j else neg[2 * (j - i)])
+            for i in range(2 * j + 1)
+        )
+        for j in range(1, d + 1)
+    ]
+    return charpoly(traces)
 
 
 @dataclass(frozen=True)

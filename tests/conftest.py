@@ -19,7 +19,6 @@ from weilmot import (
     PrimePower,
     WeilOrbit,
     ZetaData,
-    factor_rational_poly,
     motive_of,
     zeta_from_curve,
     zeta_point,

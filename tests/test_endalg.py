@@ -7,7 +7,6 @@ import pytest
 from conftest import elliptic_zeta
 from weilmot import (
     IndexDivisibilityError,
-    OddProduct,
     PrimePower,
     WeightMismatch,
     WeilOrbit,

@@ -18,7 +18,6 @@ from weilmot.errors import (
     ZeroPolynomial,
 )
 from weilmot.exact_arith import (
-    Factorization,
     crt_polynomials,
     exterior_charpoly,
     factor_rational_poly,
@@ -185,6 +184,34 @@ def test_crt_not_coprime_names_pair():
             (RationalPolynomial.zero(), shared * poly((-5, 1))),
         ])
     assert exc.value.pair == (1, 2)
+
+
+def test_crt_not_coprime_names_lexicographically_first_pair():
+    # (1, 2) share T - 1 and (0, 3) share T + 1; the xgcd loop meets (1, 2)
+    # first, but the report names (0, 3), the first pair in (i, j) order.
+    s1, s2 = poly((-1, 1)), poly((1, 1))
+    with pytest.raises(NotCoprime) as exc:
+        crt_polynomials([
+            (RationalPolynomial.one(), s2 * poly((-2, 1))),
+            (RationalPolynomial.zero(), s1 * poly((-3, 1))),
+            (RationalPolynomial.zero(), s1 * poly((-5, 1))),
+            (RationalPolynomial.zero(), s2 * poly((-7, 1))),
+        ])
+    assert exc.value.pair == (0, 3)
+    assert str(exc.value) == "moduli #0 and #3 share the factor T + 1"
+
+
+def test_crt_coprime_moduli_run_no_gcd(monkeypatch):
+    calls = []
+    gcd = RationalPolynomial.gcd
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(RationalPolynomial, "gcd", counting_gcd)
+    crt_polynomials([(RationalPolynomial.one(), poly((-k, 1))) for k in range(1, 5)])
+    assert calls == []
 
 
 # ------------------------------------------------------ reciprocal transform

@@ -20,7 +20,6 @@ from weilmot import (
     kunneth_idempotents,
     motive_of,
     pole_order,
-    tate_twist,
     twisted_weight_part,
     validate_zeta,
     zeta_from_curve,

@@ -12,7 +12,6 @@ from weilmot import (
     newton_polygon,
     ord_q,
     padic_places,
-    verify_weil,
 )
 from weilmot.poly import poly
 

@@ -3,7 +3,7 @@
 import pytest
 
 from weilmot import PrimePower, RangeError
-from weilmot.primes import is_prime
+from weilmot.primes import MR_PROVEN_BOUND, is_prime
 
 
 def test_from_q_small():
@@ -43,3 +43,24 @@ def test_from_q_matches_trial_division():
             found = None
         expected = by_trial_division(q)
         assert (found and (found.p, found.a)) == expected, q
+
+
+def test_is_prime_small_values_unchanged():
+    assert [n for n in range(60) if is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+    ]
+
+
+def test_is_prime_gives_no_unproven_answer():
+    # psi_12 is a strong pseudoprime to every prime base up to 37; base 41
+    # exposes it.  psi_13 passes bases up to 41 and is the proven bound.
+    assert not is_prime(318665857834031151167461)
+    assert MR_PROVEN_BOUND == 3317044064679887385961981
+    with pytest.raises(RangeError):
+        is_prime(MR_PROVEN_BOUND)
+    with pytest.raises(RangeError):
+        PrimePower(2 ** 89 - 1, 1)
+    assert PrimePower(2 ** 61 - 1, 1).q == 2 ** 61 - 1
+    # A witness proves compositeness at any size, so large prime powers still parse.
+    assert not is_prime(2 ** 89 + 1)
+    assert PrimePower.from_q(2 ** 100) == PrimePower(2, 100)

@@ -1,0 +1,93 @@
+"""Differential tests of the power-sum charpoly kernel against sympy matrices.
+
+The library reads tensor, exterior and beta^2 characteristic polynomials off
+power sums of roots.  The oracle builds the same polynomials the matrix way,
+in sympy: the charpoly of the Kronecker product of companion matrices, of the
+k-th compound matrix, and of (C + Q C^-1)^2 for the companion matrix C.
+Equality is exact.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from conftest import admissible_traces, elliptic_l1, random_monic, random_squarefree
+from weilmot.exact_arith import exterior_charpoly, reciprocal_transform, tensor_charpoly
+from weilmot.poly import RationalPolynomial, poly
+from weilmot.weil import _beta_squared_charpoly
+
+sympy = pytest.importorskip("sympy")
+T = sympy.Symbol("T")
+
+
+def _rational(c: Fraction):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def companion(p: RationalPolynomial):
+    d = p.degree
+    m = sympy.zeros(d, d)
+    for i in range(1, d):
+        m[i, i - 1] = 1
+    for i in range(d):
+        m[i, d - 1] = -_rational(p.coeff(i))
+    return m
+
+
+def compound(m, k: int):
+    subsets = list(combinations(range(m.rows), k))
+    return sympy.Matrix([
+        [m.extract(list(rows), list(cols)).det() for cols in subsets] for rows in subsets
+    ])
+
+
+def sympy_charpoly(m) -> RationalPolynomial:
+    coeffs = m.charpoly(T).all_coeffs()
+    return RationalPolynomial(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
+
+
+def weil_shaped() -> list[RationalPolynomial]:
+    """Elliptic Frobenius charpolys over small q, and products of two of them."""
+    curves = [
+        reciprocal_transform(elliptic_l1(q, a))
+        for q in (2, 3, 4, 5, 9) for a in admissible_traces(q)[::2]
+    ]
+    return curves + [a * b for a, b in zip(curves, curves[3::4])]
+
+
+def rational_monic(rng, max_degree: int) -> RationalPolynomial:
+    p = random_monic(rng, max_degree)
+    return poly([c / rng.choice((1, 2, 3)) for c in p.coeffs[:-1]] + [1])
+
+
+def test_tensor_charpoly_matches_kronecker(rng):
+    cases = [(random_monic(rng, 4), random_monic(rng, 3)) for _ in range(12)]
+    cases += [(rational_monic(rng, 3), rational_monic(rng, 3)) for _ in range(4)]
+    shaped = weil_shaped()
+    cases += [(rng.choice(shaped), rng.choice(shaped)) for _ in range(8)]
+    for a, b in cases:
+        expect = sympy_charpoly(sympy.kronecker_product(companion(a), companion(b)))
+        assert tensor_charpoly(a, b) == expect, (a, b)
+
+
+def test_exterior_charpoly_matches_compound(rng):
+    cases = [random_squarefree(rng, 5) for _ in range(10)]
+    cases += [rational_monic(rng, 4) for _ in range(3)]
+    cases += weil_shaped()[::5]
+    for p in cases:
+        k = rng.randint(1, p.degree)
+        expect = sympy_charpoly(compound(companion(p), k))
+        assert exterior_charpoly(p, k) == expect, (p, k)
+
+
+def test_beta_squared_charpoly_matches_matrix(rng):
+    cases = [(p, Fraction(q) ** m) for p in weil_shaped()[::3] for q in (2, 9) for m in (1, 2)]
+    for _ in range(12):
+        p = rational_monic(rng, 5)
+        if p.constant_term != 0:
+            cases.append((p, Fraction(rng.choice((2, 3, 4, 5))) ** rng.randint(-1, 2)))
+    for p, qm in cases:
+        c = companion(p)
+        beta = c + _rational(qm) * c.inv()
+        assert _beta_squared_charpoly(p, qm) == sympy_charpoly(beta * beta), (p, qm)
