@@ -79,24 +79,6 @@ def mp_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]
     return trim(q), trim(f)
 
 
-def mp_divmod_monic(f: list[int], g: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Division by a monic g over Z/m (no leading-coefficient inversion)."""
-    f = [c % m for c in f]
-    dg = len(g) - 1
-    q = [0] * max(len(f) - dg, 0)
-    while len(f) - 1 >= dg and f:
-        if f[-1] == 0:
-            f.pop()
-            continue
-        k = len(f) - 1 - dg
-        factor = f[-1]
-        q[k] = factor
-        for i in range(dg + 1):
-            f[k + i] = (f[k + i] - factor * g[i]) % m
-        f.pop()
-    return trim(q), trim(f)
-
-
 def mp_mod(f: list[int], g: list[int], p: int) -> list[int]:
     return mp_divmod(f, g, p)[1]
 
@@ -266,11 +248,11 @@ def hensel_step(f: list[int], g, h, s, t, m: int):
     """
     m2 = m * m
     e = mp_sub(mp_reduce(f, m2), mp_mul(g, h, m2), m2)
-    q, r = mp_divmod_monic(mp_mul(s, e, m2), h, m2)
+    q, r = mp_divmod(mp_mul(s, e, m2), h, m2)
     g_star = mp_add(g, mp_add(mp_mul(t, e, m2), mp_mul(q, g, m2), m2), m2)
     h_star = mp_add(h, r, m2)
     b = mp_sub(mp_add(mp_mul(s, g_star, m2), mp_mul(t, h_star, m2), m2), [1], m2)
-    c, d = mp_divmod_monic(mp_mul(s, b, m2), h_star, m2)
+    c, d = mp_divmod(mp_mul(s, b, m2), h_star, m2)
     s_star = mp_sub(s, d, m2)
     t_star = mp_sub(t, mp_add(mp_mul(t, b, m2), mp_mul(c, g_star, m2), m2), m2)
     return g_star, h_star, s_star, t_star

@@ -30,7 +30,7 @@ from .errors import (
     RangeError,
     ZeroPolynomial,
 )
-from .poly import RationalPolynomial
+from .poly import RationalPolynomial, poly_product
 from .primes import is_prime
 
 MAX_COMPANION_DIM = 4096
@@ -76,15 +76,11 @@ def _primitive_int(p: RationalPolynomial) -> list[int]:
     return prim
 
 
-def _int_poly(coeffs: list[int]) -> RationalPolynomial:
-    return RationalPolynomial(coeffs)
-
-
 def _divides_int(g: list[int], f: list[int]) -> bool:
     """Does g divide f in Z[x]?  (g monic or primitive; exact check over Q.)"""
     if g and f and g[0] != 0 and f[0] % g[0] != 0:
         return False
-    return _int_poly(g).divides(_int_poly(f))
+    return RationalPolynomial(g).divides(RationalPolynomial(f))
 
 
 def _factor_monic_squarefree_int(g: list[int]) -> list[list[int]]:
@@ -137,7 +133,7 @@ def _factor_monic_squarefree_int(g: list[int]) -> list[list[int]]:
             if not _divides_int(cand, remaining):
                 continue
             out.append(cand)
-            remaining = _primitive_int(_int_poly(remaining) // _int_poly(cand))
+            remaining = _primitive_int(RationalPolynomial(remaining) // RationalPolynomial(cand))
             pool = [i for i in pool if i not in subset]
             found = True
             break
@@ -161,7 +157,7 @@ def _factor_squarefree_int(f: list[int]) -> list[list[int]]:
     out = []
     for gf in _factor_monic_squarefree_int(g):
         h = [gf[i] * lc ** i for i in range(len(gf))]
-        out.append(_primitive_int(_int_poly(h)))
+        out.append(_primitive_int(RationalPolynomial(h)))
     return out
 
 
@@ -201,7 +197,7 @@ def factor_rational_poly(p: RationalPolynomial) -> Factorization:
     for part, mult in _yun_squarefree(work):
         prim = _primitive_int(part)
         for irr in _factor_squarefree_int(prim):
-            factors.append((_int_poly(irr).monic(), mult))
+            factors.append((RationalPolynomial(irr).monic(), mult))
     factors.sort(key=lambda fm: fm[0].sort_key())
     return Factorization(unit=unit, factors=tuple(factors))
 
@@ -292,34 +288,47 @@ def sturm_variations(p: RationalPolynomial, points) -> tuple[int, ...]:
 
 # ----------------------------------------------------------------------- CRT
 
+def crt_basis(moduli: list[RationalPolynomial]) -> list[RationalPolynomial]:
+    """CRT idempotents: E_k = delta_kj (mod m_j), deg E_k < sum deg m_j.
+
+    With M = prod m_j and cofactor c_k = M // m_k, E_k = c_k * u_k where
+    u_k = c_k^-1 (mod m_k) comes from one xgcd per modulus (von zur Gathen &
+    Gerhard, Modern Computer Algebra, 5.4).  Moduli must be nonconstant and
+    pairwise coprime; a shared factor raises NotCoprime naming the
+    lexicographically first offending pair.
+    """
+    for idx, m in enumerate(moduli):
+        if m.degree < 1:
+            raise RangeError(f"modulus #{idx} is constant")
+    big = poly_product(moduli)
+    basis = []
+    for m in moduli:
+        c = big // m
+        g, u, _ = (c % m).xgcd(m)
+        if not g.is_constant:
+            for i, j in combinations(range(len(moduli)), 2):
+                g = moduli[i].gcd(moduli[j])
+                if not g.is_constant:
+                    raise NotCoprime(
+                        f"moduli #{i} and #{j} share the factor {g}", pair=(i, j)
+                    )
+        basis.append(c * u)
+    return basis
+
+
 def crt_polynomials(
     pairs: list[tuple[RationalPolynomial, RationalPolynomial]],
 ) -> RationalPolynomial:
     """Unique R with R = residue_k (mod modulus_k), deg R < sum deg modulus_k.
 
-    Moduli must be nonconstant and pairwise coprime; a shared factor raises
-    NotCoprime naming the offending pair.
+    R = sum residue_k * E_k (mod prod modulus_k) over the crt_basis E_k, which
+    carries its checks and errors.
     """
-    if not pairs:
-        return RationalPolynomial.zero()
-    for idx, (_, m) in enumerate(pairs):
-        if m.degree < 1:
-            raise RangeError(f"modulus #{idx} is constant")
-    r, m = pairs[0][0] % pairs[0][1], pairs[0][1]
-    for res_k, mod_k in pairs[1:]:
-        g, u, _ = m.xgcd(mod_k)
-        if not g.is_constant:
-            # Name the lexicographically first pair of moduli sharing a factor.
-            for i, j in combinations(range(len(pairs)), 2):
-                g = pairs[i][1].gcd(pairs[j][1])
-                if not g.is_constant:
-                    raise NotCoprime(
-                        f"moduli #{i} and #{j} share the factor {g}", pair=(i, j)
-                    )
-        t = (u * (res_k - r)) % mod_k
-        r = r + m * t
-        m = m * mod_k
-    return r % m
+    moduli = [m for _, m in pairs]
+    total = RationalPolynomial.zero()
+    for (r, _), e in zip(pairs, crt_basis(moduli)):
+        total = total + r * e
+    return total % poly_product(moduli)
 
 
 # ------------------------------------------------------ reciprocal transform

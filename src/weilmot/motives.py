@@ -21,7 +21,7 @@ from .errors import (
     ValidationFailed,
 )
 from .exact_arith import (
-    crt_polynomials,
+    crt_basis,
     factor_rational_poly,
     reciprocal_transform,
     root_multiplicity,
@@ -287,25 +287,19 @@ def kunneth_idempotents(z: ZetaData) -> list[RationalPolynomial]:
     Indexed 0..2n; degrees with no cohomology get the zero polynomial.
     """
     transforms = z.charpolys()
-    moduli = [(i, c) for i, c in enumerate(transforms) if not c.is_constant]
-    out: list[RationalPolynomial] = []
-    for i, c in enumerate(transforms):
-        if c.is_constant:
-            out.append(RationalPolynomial.zero())
-            continue
-        pairs = [
-            (RationalPolynomial.one() if j == i else RationalPolynomial.zero(), cj)
-            for j, cj in moduli
-        ]
-        try:
-            out.append(crt_polynomials(pairs))
-        except NotCoprime as exc:
-            a, b = exc.pair
-            raise NotCoprime(
-                f"characteristic polynomials of degrees {moduli[a][0]} and "
-                f"{moduli[b][0]} are not coprime",
-                pair=(moduli[a][0], moduli[b][0]),
-            ) from exc
+    degrees = [i for i, c in enumerate(transforms) if not c.is_constant]
+    try:
+        basis = crt_basis([transforms[i] for i in degrees])
+    except NotCoprime as exc:
+        a, b = exc.pair
+        raise NotCoprime(
+            f"characteristic polynomials of degrees {degrees[a]} and "
+            f"{degrees[b]} are not coprime",
+            pair=(degrees[a], degrees[b]),
+        ) from exc
+    out = [RationalPolynomial.zero()] * len(transforms)
+    for i, e in zip(degrees, basis):
+        out[i] = e
     return out
 
 

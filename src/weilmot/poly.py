@@ -69,10 +69,6 @@ class RationalPolynomial:
         return not self.coeffs
 
     @property
-    def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
-
-    @property
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 

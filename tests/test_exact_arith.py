@@ -18,6 +18,7 @@ from weilmot.errors import (
     ZeroPolynomial,
 )
 from weilmot.exact_arith import (
+    crt_basis,
     crt_polynomials,
     exterior_charpoly,
     factor_rational_poly,
@@ -173,6 +174,12 @@ def test_crt_residue_property(rng):
         assert r.degree < sum(m.degree for m in moduli)
         for res, mod in zip(residues, moduli):
             assert (r - res) % mod == RationalPolynomial.zero()
+    basis = crt_basis(moduli)
+    for i, e in enumerate(basis):
+        assert e.degree < sum(m.degree for m in moduli)
+        for j, mod in enumerate(moduli):
+            assert (e - (1 if i == j else 0)) % mod == RationalPolynomial.zero()
+    assert sum(basis, RationalPolynomial.zero()) == RationalPolynomial.one()
 
 
 def test_crt_not_coprime_names_pair():

@@ -1,8 +1,11 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no unused imports and no dead private helpers.
 
-`weilmot/__init__.py` is skipped (its imports are re-exports), names listed in
-a module's ``__all__`` count as used, and ``from __future__`` imports are
-exempt.
+No module imports a name it never uses: `weilmot/__init__.py` is skipped (its
+imports are re-exports), names listed in a module's ``__all__`` count as used,
+and ``from __future__`` imports are exempt.
+
+Every private (``_name``, not dunder) function or class defined in
+`src/weilmot` is referenced somewhere in `src/weilmot` outside its own body.
 """
 
 import ast
@@ -11,6 +14,7 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "weilmot").glob("*.py"))
 SOURCES = sorted(
     [p for p in (ROOT / "src" / "weilmot").glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py")),
@@ -48,3 +52,46 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def dead_private_defs(sources: dict[str, str]) -> list[str]:
+    """Private defs of {module name: source} never referenced outside their own body."""
+    defs = []
+    refs: dict[str, list[tuple[str, int]]] = {}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if _is_private(node.name):
+                    defs.append((module, node))
+            elif isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((module, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    refs.setdefault(alias.name, []).append((module, node.lineno))
+    return [
+        f"{module}:{node.lineno} {node.name}"
+        for module, node in defs
+        if all(
+            m == module and node.lineno <= line <= node.end_lineno
+            for m, line in refs.get(node.name, [])
+        )
+    ]
+
+
+def test_detector_flags_a_dead_private_def():
+    sources = {
+        "a": "def _used(): pass\ndef _dead(): pass\ndef _loop(): _loop()\n"
+             "class _Gone:\n    def __init__(self): pass\n",
+        "b": "from a import _used\n_used()\n",
+    }
+    assert dead_private_defs(sources) == ["a:2 _dead", "a:3 _loop", "a:4 _Gone"]
+
+
+def test_no_dead_private_defs():
+    assert dead_private_defs({p.stem: p.read_text() for p in PACKAGE}) == []

@@ -8,6 +8,7 @@ from weilmot import (
     BaseMismatch,
     GradedComplex,
     Motive,
+    NotCoprime,
     NotWeil,
     OddDegree,
     PrimePower,
@@ -221,6 +222,33 @@ def test_kunneth_idempotents_examples():
     assert kunneth_idempotents(p1) == [poly((2, -1)), poly(()), poly((-1, 1))]
     _check_idempotent_system(elliptic_zeta(2, 1))
     _check_idempotent_system(zeta_product(elliptic_zeta(2, 1), elliptic_zeta(2, 0)))
+
+
+def test_kunneth_idempotents_run_one_xgcd_per_modulus(monkeypatch):
+    e, e2, e3 = elliptic_zeta(2, 1), elliptic_zeta(2, 0), elliptic_zeta(2, -2)
+    cases = [zeta_product(e, e2), zeta_product(zeta_product(e, e2), e3)]
+    calls = []
+    xgcd = RationalPolynomial.xgcd
+
+    def counting_xgcd(a, b):
+        calls.append((a, b))
+        return xgcd(a, b)
+
+    monkeypatch.setattr(RationalPolynomial, "xgcd", counting_xgcd)
+    for z in cases:
+        calls.clear()
+        kunneth_idempotents(z)
+        nonconstant = sum(not c.is_constant for c in z.charpolys())
+        assert nonconstant == 2 * z.dim_n + 1
+        assert len(calls) == nonconstant
+
+
+def test_kunneth_idempotents_name_shared_degrees():
+    # C_1 is constant, so the CRT pair (0, 1) is the degree pair (0, 2).
+    with pytest.raises(NotCoprime) as exc:
+        kunneth_idempotents(zeta_raw(Q2, 1, [(1, -1), (1,), (1, -1)]))
+    assert exc.value.pair == (0, 2)
+    assert str(exc.value) == "characteristic polynomials of degrees 0 and 2 are not coprime"
 
 
 # -------------------------------------------------------------- pole order

@@ -1,10 +1,11 @@
-"""Differential tests of the power-sum charpoly kernel against sympy matrices.
+"""Differential tests of the exact kernels against sympy.
 
 The library reads tensor, exterior and beta^2 characteristic polynomials off
 power sums of roots.  The oracle builds the same polynomials the matrix way,
 in sympy: the charpoly of the Kronecker product of companion matrices, of the
 k-th compound matrix, and of (C + Q C^-1)^2 for the companion matrix C.
-Equality is exact.
+Factorization over Q and gcd/xgcd are checked against sympy's factor_list,
+gcd and gcdex.  Equality is exact.
 """
 
 from fractions import Fraction
@@ -13,7 +14,12 @@ from itertools import combinations
 import pytest
 
 from conftest import admissible_traces, elliptic_l1, random_monic, random_squarefree
-from weilmot.exact_arith import exterior_charpoly, reciprocal_transform, tensor_charpoly
+from weilmot.exact_arith import (
+    exterior_charpoly,
+    factor_rational_poly,
+    reciprocal_transform,
+    tensor_charpoly,
+)
 from weilmot.poly import RationalPolynomial, poly
 from weilmot.weil import _beta_squared_charpoly
 
@@ -42,9 +48,16 @@ def compound(m, k: int):
     ])
 
 
+def to_sympy(p: RationalPolynomial):
+    return sympy.Poly.from_list([_rational(c) for c in reversed(p.coeffs)], T, domain="QQ")
+
+
+def from_sympy(p) -> RationalPolynomial:
+    return RationalPolynomial(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
 def sympy_charpoly(m) -> RationalPolynomial:
-    coeffs = m.charpoly(T).all_coeffs()
-    return RationalPolynomial(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
+    return from_sympy(m.charpoly(T))
 
 
 def weil_shaped() -> list[RationalPolynomial]:
@@ -91,3 +104,33 @@ def test_beta_squared_charpoly_matches_matrix(rng):
         c = companion(p)
         beta = c + _rational(qm) * c.inv()
         assert _beta_squared_charpoly(p, qm) == sympy_charpoly(beta * beta), (p, qm)
+
+
+def test_factor_matches_sympy_factor_list(rng):
+    cases = [random_monic(rng, 4) * random_monic(rng, 3) for _ in range(10)]
+    cases += [random_monic(rng, 2) ** 2 * random_monic(rng, 3) for _ in range(5)]
+    cases += [rational_monic(rng, 3) * rational_monic(rng, 3) * rng.choice((2, Fraction(-1, 3)))
+              for _ in range(5)]
+    cases += weil_shaped()[::4]
+    for p in cases:
+        unit, factors = sympy.factor_list(to_sympy(p))
+        factors = [(from_sympy(f), m) for f, m in factors]
+        expect = sorted(((f.monic(), m) for f, m in factors), key=lambda fm: fm[0].sort_key())
+        expect_unit = Fraction(int(unit.p), int(unit.q))
+        for f, m in factors:
+            expect_unit *= f.leading ** m
+        fac = factor_rational_poly(p)
+        assert (fac.unit, fac.factors) == (expect_unit, tuple(expect)), p
+
+
+def test_gcd_and_xgcd_match_sympy(rng):
+    cases = []
+    for _ in range(16):
+        shared = random_monic(rng, 2) if rng.random() < 0.5 else RationalPolynomial.one()
+        cases.append((shared * rational_monic(rng, 4), shared * random_monic(rng, 4)))
+    cases += list(zip(weil_shaped(), weil_shaped()[5::3]))
+    for a, b in cases:
+        sa, sb = to_sympy(a), to_sympy(b)
+        assert a.gcd(b) == from_sympy(sympy.gcd(sa, sb)), (a, b)
+        s, t, h = sympy.gcdex(sa, sb)
+        assert a.xgcd(b) == (from_sympy(h), from_sympy(s), from_sympy(t)), (a, b)
