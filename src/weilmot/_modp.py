@@ -10,6 +10,7 @@ factorizations are deterministic across runs.
 
 from __future__ import annotations
 
+import math
 import random
 
 
@@ -256,6 +257,39 @@ def hensel_step(f: list[int], g, h, s, t, m: int):
     s_star = mp_sub(s, d, m2)
     t_star = mp_sub(t, mp_add(mp_mul(t, b, m2), mp_mul(c, g_star, m2), m2), m2)
     return g_star, h_star, s_star, t_star
+
+
+def inverse_step(a: list[int], m: list[int], u: list[int], n: int) -> list[int]:
+    """One Newton step for an inverse modulo m: from mod n to mod n^2.
+
+    Requires a*u = 1 (mod m, n) with lc(m) a unit mod n.  Returns
+    u* = u*(2 - a*u) reduced mod (m, n^2), so that a*u* = 1 (mod m, n^2) and
+    u* = u (mod n) (von zur Gathen & Gerhard, Modern Computer Algebra, 9.1).
+    """
+    n2 = n * n
+    e = mp_mod(mp_mul(a, u, n2), m, n2)
+    return mp_mod(mp_mul(u, mp_sub([2], e, n2), n2), m, n2)
+
+
+def rational_reconstruction(r: int, n: int) -> tuple[int, int] | None:
+    """The fraction s/t = r (mod n) with |s|, t <= sqrt(n/2), as (s, t), or None.
+
+    Such a fraction is unique when it exists, and the extended Euclidean
+    algorithm on (n, r), stopped at the first remainder below the bound,
+    finds it (von zur Gathen & Gerhard, Modern Computer Algebra, 5.10).
+    """
+    bound = math.isqrt(n // 2)
+    r0, r1 = n, r % n
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound or math.gcd(r1, t1) != 1:
+        return None
+    return r1, t1
 
 
 def hensel_lift_pair(f: list[int], g: list[int], h: list[int], p: int, k: int):

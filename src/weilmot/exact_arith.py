@@ -1,9 +1,12 @@
 """Exact rational polynomial kernel.
 
 Factorization over Q (squarefree decomposition + Zassenhaus), Sturm-sequence
-real root counting, polynomial CRT, L-polynomial/charpoly reciprocal
-transforms, and tensor/exterior characteristic polynomials from exact power
-sums of roots (Newton's identities).
+real root counting, polynomial CRT by p-adic lifting (cofactor inverses
+modulo a word-size prime, Newton-lifted and rationally reconstructed; von zur
+Gathen & Gerhard, Modern Computer Algebra, 9.1 and 5.10),
+L-polynomial/charpoly reciprocal transforms, and tensor/exterior
+characteristic polynomials from exact power sums of roots (Newton's
+identities).
 
 All functions are pure and all values immutable; everything here is safe to
 share between threads.
@@ -288,12 +291,84 @@ def sturm_variations(p: RationalPolynomial, points) -> tuple[int, ...]:
 
 # ----------------------------------------------------------------------- CRT
 
+def _lifting_primes():
+    """Primes below 2^31, descending: the word-size primes crt_basis lifts from."""
+    n = 2 ** 31 - 1
+    while True:
+        if is_prime(n):
+            yield n
+        n -= 2
+
+
+def _reconstruct(u: list[int], n: int) -> tuple[list[int], int] | None:
+    """(U, L) with U / L = u (mod n) coefficientwise, or None.
+
+    The coefficients of an inverse share most of their denominator, so each
+    one is reconstructed after multiplying by the denominator L found so far.
+    """
+    bound = math.isqrt(n // 2)
+    nums: list[int] = []
+    den = 1
+    for c in u:
+        frac = _modp.rational_reconstruction(c * den, n)
+        if frac is None:
+            return None
+        s, t = frac
+        den *= t
+        if den > bound:
+            return None
+        nums = [x * t for x in nums] + [s]
+    return nums, den
+
+
+def _raise_shared_pair(moduli: list[RationalPolynomial]) -> None:
+    """Raise NotCoprime naming the lexicographically first pair with a common factor."""
+    for i, j in combinations(range(len(moduli)), 2):
+        g = moduli[i].gcd(moduli[j])
+        if not g.is_constant:
+            raise NotCoprime(f"moduli #{i} and #{j} share the factor {g}", pair=(i, j))
+
+
+def _inverse_by_lifting(
+    a: list[int], m: list[int], moduli: list[RationalPolynomial]
+) -> tuple[list[int], int]:
+    """(U, L) with a * U = L (mod m) over Q, for integer a and primitive m.
+
+    The inverse mod a word-size prime p is Newton-lifted to mod p^(2^i) until
+    every coefficient rationally reconstructs and a * U = L (mod m) holds
+    exactly.  A prime dividing lc(m) is skipped; one where gcd(a, m) mod p is
+    nonconstant is skipped unless two moduli share a factor over Q.
+    """
+    for p in _lifting_primes():
+        if m[-1] % p == 0:
+            continue
+        g, u, _ = _modp.mp_xgcd(a, m, p)
+        if len(g) != 1:
+            _raise_shared_pair(moduli)
+            continue
+        n = p
+        while True:
+            u = _modp.inverse_step(a, m, u, n)
+            n *= n
+            frac = _reconstruct(u, n)
+            if frac is None:
+                continue
+            numer, den = frac
+            if RationalPolynomial(m).divides(
+                RationalPolynomial(a) * RationalPolynomial(numer) - den
+            ):
+                return numer, den
+
+
 def crt_basis(moduli: list[RationalPolynomial]) -> list[RationalPolynomial]:
     """CRT idempotents: E_k = delta_kj (mod m_j), deg E_k < sum deg m_j.
 
     With M = prod m_j and cofactor c_k = M // m_k, E_k = c_k * u_k where
-    u_k = c_k^-1 (mod m_k) comes from one xgcd per modulus (von zur Gathen &
-    Gerhard, Modern Computer Algebra, 5.4).  Moduli must be nonconstant and
+    u_k = c_k^-1 (mod m_k) (von zur Gathen & Gerhard, Modern Computer Algebra,
+    5.4).  Each u_k is computed modulo a word-size prime p, Newton-lifted to
+    mod p^(2^i) (MCA 9.1) and rationally reconstructed (MCA 5.10) until an
+    exact check certifies it; Euclid over Q runs only to name a shared factor
+    when gcd(c_k, m_k) mod p is nonconstant.  Moduli must be nonconstant and
     pairwise coprime; a shared factor raises NotCoprime naming the
     lexicographically first offending pair.
     """
@@ -304,15 +379,9 @@ def crt_basis(moduli: list[RationalPolynomial]) -> list[RationalPolynomial]:
     basis = []
     for m in moduli:
         c = big // m
-        g, u, _ = (c % m).xgcd(m)
-        if not g.is_constant:
-            for i, j in combinations(range(len(moduli)), 2):
-                g = moduli[i].gcd(moduli[j])
-                if not g.is_constant:
-                    raise NotCoprime(
-                        f"moduli #{i} and #{j} share the factor {g}", pair=(i, j)
-                    )
-        basis.append(c * u)
+        content, a = (c % m).content_and_primitive()
+        numer, den = _inverse_by_lifting(a, _primitive_int(m), moduli)
+        basis.append(c * RationalPolynomial(numer) * (1 / (content * den)))
     return basis
 
 

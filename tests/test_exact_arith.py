@@ -1,12 +1,14 @@
 """exact_arith: factorization, Sturm counts, CRT, transforms, tensor/exterior."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coeffs_close, float_roots, poly_from_float_roots, random_squarefree
+from weilmot import _modp
 from weilmot.errors import (
     BadConstantTerm,
     DegreeHintMismatch,
@@ -18,6 +20,7 @@ from weilmot.errors import (
     ZeroPolynomial,
 )
 from weilmot.exact_arith import (
+    _lifting_primes,
     crt_basis,
     crt_polynomials,
     exterior_charpoly,
@@ -29,7 +32,7 @@ from weilmot.exact_arith import (
     tensor_charpoly,
     to_l_polynomial,
 )
-from weilmot.poly import RationalPolynomial, poly
+from weilmot.poly import RationalPolynomial, poly, poly_product
 
 
 # ----------------------------------------------------------- factorization
@@ -194,8 +197,9 @@ def test_crt_not_coprime_names_pair():
 
 
 def test_crt_not_coprime_names_lexicographically_first_pair():
-    # (1, 2) share T - 1 and (0, 3) share T + 1; the xgcd loop meets (1, 2)
-    # first, but the report names (0, 3), the first pair in (i, j) order.
+    # (1, 2) share T - 1 and (0, 3) share T + 1; a chain over adjacent moduli
+    # would meet (1, 2) first, but the report names (0, 3), the first pair in
+    # (i, j) order.
     s1, s2 = poly((-1, 1)), poly((1, 1))
     with pytest.raises(NotCoprime) as exc:
         crt_polynomials([
@@ -219,6 +223,47 @@ def test_crt_coprime_moduli_run_no_gcd(monkeypatch):
     monkeypatch.setattr(RationalPolynomial, "gcd", counting_gcd)
     crt_polynomials([(RationalPolynomial.one(), poly((-k, 1))) for k in range(1, 5)])
     assert calls == []
+
+
+def xgcd_basis(moduli):
+    """Reference CRT basis: one Fraction xgcd per modulus."""
+    big = poly_product(moduli)
+    basis = []
+    for m in moduli:
+        c = big // m
+        g, u, _ = (c % m).xgcd(m)
+        assert g == RationalPolynomial.one()
+        basis.append(c * u)
+    return basis
+
+
+P1, P2 = islice(_lifting_primes(), 2)
+
+
+@pytest.mark.parametrize("moduli, primes", [
+    # T(T - 1) and T - p share T mod p: the cofactor T - p of T(T - 1) is
+    # not invertible mod (p, T(T - 1)), so that modulus lifts from P2.
+    ([poly((0, -1, 1)), poly((-P1, 1))], [P1, P2, P1]),
+    # T and T - p: each cofactor reduces to a constant, whose content is
+    # cleared before reducing mod p, so P1 serves both.
+    ([poly((0, 1)), poly((-P1, 1))], [P1, P1]),
+    # denominator p: T/p - 1 has primitive form T - p, which shares T with
+    # T(T + 1) mod p.
+    ([poly((-1, Fraction(1, P1))), poly((0, 1, 1))], [P1, P1, P2]),
+    # leading coefficient p: the degree drops mod p, so P1 is skipped.
+    ([poly((-1, P1)), poly((-2, 1)), poly((1, 0, 1))], [P2, P1, P1]),
+], ids=["shared-mod-p", "constant-cofactors", "denominator-p", "leading-p"])
+def test_crt_basis_skips_bad_lifting_primes(moduli, primes, monkeypatch):
+    seen = []
+    mp_xgcd = _modp.mp_xgcd
+
+    def recording_mp_xgcd(f, g, p):
+        seen.append(p)
+        return mp_xgcd(f, g, p)
+
+    monkeypatch.setattr(_modp, "mp_xgcd", recording_mp_xgcd)
+    assert crt_basis(moduli) == xgcd_basis(moduli)
+    assert seen == primes
 
 
 # ------------------------------------------------------ reciprocal transform

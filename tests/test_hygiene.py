@@ -1,4 +1,4 @@
-"""Source hygiene: no unused imports and no dead private helpers.
+"""Source hygiene: no unused imports, no dead private helpers, no floats.
 
 No module imports a name it never uses: `weilmot/__init__.py` is skipped (its
 imports are re-exports), names listed in a module's ``__all__`` count as used,
@@ -6,6 +6,10 @@ and ``from __future__`` imports are exempt.
 
 Every private (``_name``, not dunder) function or class defined in
 `src/weilmot` is referenced somewhere in `src/weilmot` outside its own body.
+
+The library is exact: no module in `src/weilmot` has a float literal, a
+``float(...)`` call or a use of ``math.sqrt``, ``math.log``, ``math.exp`` or
+``math.pow``; bounds such as sqrt(n/2) are taken with ``math.isqrt``.
 """
 
 import ast
@@ -95,3 +99,38 @@ def test_detector_flags_a_dead_private_def():
 
 def test_no_dead_private_defs():
     assert dead_private_defs({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+FLOAT_MATH = {"sqrt", "log", "exp", "pow"}
+
+
+def float_uses(source: str) -> list[str]:
+    """Float literals, float(...) calls and float-valued math functions in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, repr(node.value)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append((node.lineno, "float(...)"))
+        elif (isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.extend((node.lineno, f"math.{a.name}") for a in node.names
+                         if a.name in FLOAT_MATH)
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_detector_flags_floats():
+    src = ("import math\nfrom math import exp, gcd\nx = 1.5 + 2j\ny = float('2')\n"
+           "z = math.sqrt(2)\nw = pow(3, -1, 7) + math.isqrt(9)\n")
+    assert float_uses(src) == [
+        "line 2: math.exp", "line 3: 1.5", "line 3: 2j", "line 4: float(...)",
+        "line 5: math.sqrt",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"src/{p.name}")
+def test_no_floats_in_the_library(path):
+    assert float_uses(path.read_text()) == []

@@ -27,6 +27,7 @@ from weilmot import (
     zeta_point,
     zeta_product,
 )
+from weilmot import _modp
 from weilmot.motives import ZetaData
 from weilmot.poly import RationalPolynomial, poly
 
@@ -224,23 +225,27 @@ def test_kunneth_idempotents_examples():
     _check_idempotent_system(zeta_product(elliptic_zeta(2, 1), elliptic_zeta(2, 0)))
 
 
-def test_kunneth_idempotents_run_one_xgcd_per_modulus(monkeypatch):
+def test_kunneth_idempotents_run_one_modular_xgcd_per_modulus(monkeypatch):
     e, e2, e3 = elliptic_zeta(2, 1), elliptic_zeta(2, 0), elliptic_zeta(2, -2)
-    cases = [zeta_product(e, e2), zeta_product(zeta_product(e, e2), e3)]
-    calls = []
-    xgcd = RationalPolynomial.xgcd
+    cases = [(zeta_product(e, e2), 5), (zeta_product(zeta_product(e, e2), e3), 7)]
+    calls = {"xgcd": 0, "mp_xgcd": 0}
+    xgcd, mp_xgcd = RationalPolynomial.xgcd, _modp.mp_xgcd
 
     def counting_xgcd(a, b):
-        calls.append((a, b))
+        calls["xgcd"] += 1
         return xgcd(a, b)
 
+    def counting_mp_xgcd(f, g, p):
+        calls["mp_xgcd"] += 1
+        return mp_xgcd(f, g, p)
+
     monkeypatch.setattr(RationalPolynomial, "xgcd", counting_xgcd)
-    for z in cases:
-        calls.clear()
+    monkeypatch.setattr(_modp, "mp_xgcd", counting_mp_xgcd)
+    for z, nonconstant in cases:
+        calls.update(xgcd=0, mp_xgcd=0)
         kunneth_idempotents(z)
-        nonconstant = sum(not c.is_constant for c in z.charpolys())
-        assert nonconstant == 2 * z.dim_n + 1
-        assert len(calls) == nonconstant
+        assert sum(not c.is_constant for c in z.charpolys()) == nonconstant
+        assert calls == {"xgcd": 0, "mp_xgcd": nonconstant}
 
 
 def test_kunneth_idempotents_name_shared_degrees():

@@ -5,7 +5,9 @@ power sums of roots.  The oracle builds the same polynomials the matrix way,
 in sympy: the charpoly of the Kronecker product of companion matrices, of the
 k-th compound matrix, and of (C + Q C^-1)^2 for the companion matrix C.
 Factorization over Q and gcd/xgcd are checked against sympy's factor_list,
-gcd and gcdex.  Equality is exact.
+gcd and gcdex, the CRT idempotents against cofactor inverses from sympy's
+invert, and discriminant valuations against sympy's discriminant.  Equality
+is exact.
 """
 
 from fractions import Fraction
@@ -15,12 +17,14 @@ import pytest
 
 from conftest import admissible_traces, elliptic_l1, random_monic, random_squarefree
 from weilmot.exact_arith import (
+    crt_basis,
     exterior_charpoly,
     factor_rational_poly,
     reciprocal_transform,
     tensor_charpoly,
 )
-from weilmot.poly import RationalPolynomial, poly
+from weilmot.padic import _discriminant_valuation
+from weilmot.poly import RationalPolynomial, poly, poly_product
 from weilmot.weil import _beta_squared_charpoly
 
 sympy = pytest.importorskip("sympy")
@@ -134,3 +138,37 @@ def test_gcd_and_xgcd_match_sympy(rng):
         assert a.gcd(b) == from_sympy(sympy.gcd(sa, sb)), (a, b)
         s, t, h = sympy.gcdex(sa, sb)
         assert a.xgcd(b) == (from_sympy(h), from_sympy(s), from_sympy(t)), (a, b)
+
+
+def coprime_moduli(draw, count: int) -> list[RationalPolynomial]:
+    """count moduli from draw(), redrawn until sympy finds them pairwise coprime."""
+    while True:
+        moduli = [draw() for _ in range(count)]
+        if all(sympy.gcd(to_sympy(a), to_sympy(b)).is_one
+               for a, b in combinations(moduli, 2)):
+            return moduli
+
+
+def test_crt_basis_matches_sympy_invert(rng):
+    def non_monic():
+        return random_monic(rng, 3) * rng.choice((2, 3, -5, Fraction(2, 7)))
+
+    draws = [lambda: random_monic(rng, 4), lambda: rational_monic(rng, 3), non_monic]
+    cases = [coprime_moduli(draw, rng.randint(2, 4)) for draw in draws for _ in range(5)]
+    for moduli in cases:
+        big = to_sympy(poly_product(moduli))
+        expect = []
+        for m in map(to_sympy, moduli):
+            c = sympy.quo(big, m)
+            expect.append(from_sympy(sympy.rem(c * sympy.invert(c, m), big)))
+        assert crt_basis(moduli) == expect, moduli
+
+
+def test_discriminant_valuation_matches_sympy(rng):
+    cases = [random_squarefree(rng, 6) for _ in range(12)] + weil_shaped()[::2]
+    for p_poly in cases:
+        disc = sympy.discriminant(to_sympy(p_poly))
+        if disc == 0:
+            continue
+        for p in (2, 3, 5, 7):
+            assert _discriminant_valuation(p_poly, p) == sympy.multiplicity(p, disc), (p_poly, p)
