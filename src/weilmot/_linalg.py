@@ -5,7 +5,7 @@ powers, the beta^2 test polynomial of Weil verification) is a symmetric
 function of known roots.  It is read off their power sums by Newton's
 identities -- the composed-product technique of Bostan, Flajolet, Salvy and
 Schost, "Fast computation of special resultants" (JSC 2006) -- so no matrix
-is ever formed.  ``det`` computes the Sylvester resultant in ``padic``.
+is ever formed.  ``det`` has no library caller: the benchmark traces it by name.
 """
 
 from __future__ import annotations

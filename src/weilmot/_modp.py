@@ -1,8 +1,8 @@
-"""Polynomial arithmetic over F_p and Hensel lifting over Z/p^k.
+"""Integer-list polynomials: remainder sequences over Z, arithmetic mod p^k.
 
-Internal support for rational factorization (Zassenhaus) and for p-adic
-place analysis.  Polynomials are dense ``list[int]`` ascending, reduced
-mod p (or mod p^k for lifted objects), with no trailing zeros.
+Internal kernel for gcds, Sturm chains and discriminants (``zx_``, over Z),
+Zassenhaus factorization, p-adic places and CRT lifting (``mp_``, reduced
+mod p or p^k).  Polynomials are dense ``list[int]``, ascending, no trailing zeros.
 
 Equal-degree splitting uses Cantor-Zassenhaus with a seeded generator, so
 factorizations are deterministic across runs.
@@ -18,6 +18,42 @@ def trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
         f.pop()
     return f
+
+
+def zx_primitive(f: list[int]) -> list[int]:
+    """f divided by the positive gcd of its coefficients; signs are kept."""
+    g = math.gcd(*f)
+    return [c // g for c in f] if g > 1 else list(f)
+
+
+def zx_pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(Q, R) with |lc b|^max(deg a - deg b + 1, 0) * a = Q*b + R, deg R < deg b.
+
+    The scale is positive, so R is a positive multiple of the remainder over
+    Q; for monic b it is 1 and this is plain division in Z[x].
+    """
+    db, scale = len(b) - 1, abs(b[-1])
+    q, r = [0] * max(len(a) - db, 0), list(a)
+    for k in reversed(range(len(q))):
+        q[k] = c = r.pop() if b[-1] > 0 else -r.pop()
+        if scale != 1:
+            r = [x * scale for x in r]
+        for j in range(db):
+            r[k + j] -= c * b[j]
+    return trim([c * scale ** k for k, c in enumerate(q)]), trim(r)
+
+
+def zx_prs(a: list[int], b: list[int]) -> list[list[int]]:
+    """Signed primitive remainder sequence a, b, -prem(a, b)/content, ... over Z.
+
+    Its last entry is gcd(a, b) up to a constant, and for b = a' it is a Sturm
+    chain of a (Collins, JACM 1967; von zur Gathen & Gerhard, MCA ch. 6).
+    """
+    seq = [a]
+    while b:
+        seq.append(b)
+        b = zx_primitive([-c for c in zx_pdivmod(seq[-2], b)[1]])
+    return seq
 
 
 def mp_reduce(f: list[int], m: int) -> list[int]:

@@ -50,7 +50,7 @@ class KTooLarge(WeilmotError):
 
 
 class DimensionTooLarge(WeilmotError):
-    """A tensor or exterior charpoly would exceed the supported degree (MAX_COMPANION_DIM)."""
+    """A tensor or exterior charpoly would exceed exact_arith.MAX_CHARPOLY_DEGREE."""
 
 
 # ---------------------------------------------------------------------- padic

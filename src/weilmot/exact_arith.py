@@ -1,12 +1,12 @@
 """Exact rational polynomial kernel.
 
-Factorization over Q (squarefree decomposition + Zassenhaus), Sturm-sequence
-real root counting, polynomial CRT by p-adic lifting (cofactor inverses
-modulo a word-size prime, Newton-lifted and rationally reconstructed; von zur
-Gathen & Gerhard, Modern Computer Algebra, 9.1 and 5.10),
-L-polynomial/charpoly reciprocal transforms, and tensor/exterior
-characteristic polynomials from exact power sums of roots (Newton's
-identities).
+Factorization over Q (squarefree decomposition + Zassenhaus), real root
+counting on integer Sturm chains (``_modp.zx_prs``), polynomial CRT by p-adic
+lifting (cofactor inverses modulo a word-size prime, Newton-lifted and
+rationally reconstructed; von zur Gathen & Gerhard, Modern Computer Algebra,
+9.1 and 5.10), L-polynomial/charpoly reciprocal transforms, and
+tensor/exterior characteristic polynomials from exact power sums of roots
+(Newton's identities).  Gcds and trial divisions run on integer lists too.
 
 All functions are pure and all values immutable; everything here is safe to
 share between threads.
@@ -36,7 +36,7 @@ from .errors import (
 from .poly import RationalPolynomial, poly_product
 from .primes import is_prime
 
-MAX_COMPANION_DIM = 4096
+MAX_CHARPOLY_DEGREE = 4096
 
 _SMALL_PRIMES = (
     3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -71,19 +71,6 @@ def _odd_primes():
         if is_prime(n):
             yield n
         n += 2
-
-
-def _primitive_int(p: RationalPolynomial) -> list[int]:
-    """Primitive integer coefficients with positive leading coefficient."""
-    _, prim = p.content_and_primitive()
-    return prim
-
-
-def _divides_int(g: list[int], f: list[int]) -> bool:
-    """Does g divide f in Z[x]?  (g monic or primitive; exact check over Q.)"""
-    if g and f and g[0] != 0 and f[0] % g[0] != 0:
-        return False
-    return RationalPolynomial(g).divides(RationalPolynomial(f))
 
 
 def _factor_monic_squarefree_int(g: list[int]) -> list[list[int]]:
@@ -133,10 +120,13 @@ def _factor_monic_squarefree_int(g: list[int]) -> list[list[int]]:
             for idx in subset:
                 prod = _modp.mp_mul(prod, lifted[idx], modulus)
             cand = _modp.symmetric(prod, modulus)
-            if not _divides_int(cand, remaining):
+            if cand[0] and remaining[0] % cand[0]:
+                continue
+            quo, rem = _modp.zx_pdivmod(remaining, cand)
+            if rem:
                 continue
             out.append(cand)
-            remaining = _primitive_int(RationalPolynomial(remaining) // RationalPolynomial(cand))
+            remaining = quo
             pool = [i for i in pool if i not in subset]
             found = True
             break
@@ -160,7 +150,7 @@ def _factor_squarefree_int(f: list[int]) -> list[list[int]]:
     out = []
     for gf in _factor_monic_squarefree_int(g):
         h = [gf[i] * lc ** i for i in range(len(gf))]
-        out.append(_primitive_int(RationalPolynomial(h)))
+        out.append(_modp.zx_primitive(h))
     return out
 
 
@@ -198,7 +188,7 @@ def factor_rational_poly(p: RationalPolynomial) -> Factorization:
     work = p.monic()
     factors: list[tuple[RationalPolynomial, int]] = []
     for part, mult in _yun_squarefree(work):
-        prim = _primitive_int(part)
+        _, prim = part.content_and_primitive()
         for irr in _factor_squarefree_int(prim):
             factors.append((RationalPolynomial(irr).monic(), mult))
     factors.sort(key=lambda fm: fm[0].sort_key())
@@ -215,34 +205,24 @@ def is_irreducible(p: RationalPolynomial) -> bool:
 
 # ------------------------------------------------------------ Sturm sequences
 
-def _strip_content(p: RationalPolynomial) -> RationalPolynomial:
-    """Divide by the positive content: integer coefficients, gcd 1, sign kept."""
-    content, prim = p.content_and_primitive()
-    if content < 0:
-        return RationalPolynomial([-c for c in prim])
-    return RationalPolynomial(prim)
+def _sturm_chain(p: RationalPolynomial) -> list[list[int]]:
+    """Integer Sturm chain of p's primitive multiple, which has the same variations."""
+    _, a = p.content_and_primitive()
+    return _modp.zx_prs(a, _modp.zx_primitive([i * c for i, c in enumerate(a)][1:]))
 
 
-def _sturm_chain(p: RationalPolynomial) -> list[RationalPolynomial]:
-    chain = [_strip_content(p), _strip_content(p.derivative())]
-    while not chain[-1].is_zero:
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero:
-            break
-        chain.append(_strip_content(-rem))
-    return chain
-
-
-def _sign_at(p: RationalPolynomial, x: Fraction) -> int:
-    v = p(x)
+def _sign_at(q: list[int], x: Fraction) -> int:
+    """Sign of q(n/d), d > 0: the sign of the integer sum of c_i n^i d^(deg - i)."""
+    n, d, k = x.numerator, x.denominator, len(q) - 1
+    v = sum(c * n ** i * d ** (k - i) for i, c in enumerate(q))
     return (v > 0) - (v < 0)
 
 
-def _sign_at_inf(p: RationalPolynomial, positive: bool) -> int:
-    if p.is_zero:
+def _sign_at_inf(q: list[int], positive: bool) -> int:
+    if not q:
         return 0
-    s = (p.leading > 0) - (p.leading < 0)
-    if not positive and p.degree % 2 == 1:
+    s = 1 if q[-1] > 0 else -1
+    if not positive and len(q) % 2 == 0:
         s = -s
     return s
 
@@ -252,7 +232,7 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
 
 
-def _variations_at(chain: list[RationalPolynomial], x, positive: bool) -> int:
+def _variations_at(chain: list[list[int]], x, positive: bool) -> int:
     """Sign variations of a Sturm chain at rational x, or at +-inf when x is None."""
     if x is None:
         return _variations([_sign_at_inf(q, positive) for q in chain])
@@ -268,11 +248,11 @@ def sturm_count(p: RationalPolynomial, lo=None, hi=None) -> int:
         raise ZeroPolynomial("Sturm count of the zero polynomial")
     if p.is_constant:
         return 0
-    if not p.gcd(p.derivative()).is_constant:
+    chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:
         raise NotSquarefree("gcd(P, P') is nonconstant")
     if lo is not None and hi is not None and Fraction(lo) >= Fraction(hi):
         raise RangeError("empty interval: lo must be < hi")
-    chain = _sturm_chain(p)
     return _variations_at(chain, lo, False) - _variations_at(chain, hi, True)
 
 
@@ -380,7 +360,7 @@ def crt_basis(moduli: list[RationalPolynomial]) -> list[RationalPolynomial]:
     for m in moduli:
         c = big // m
         content, a = (c % m).content_and_primitive()
-        numer, den = _inverse_by_lifting(a, _primitive_int(m), moduli)
+        numer, den = _inverse_by_lifting(a, m.content_and_primitive()[1], moduli)
         basis.append(c * RationalPolynomial(numer) * (1 / (content * den)))
     return basis
 
@@ -446,8 +426,8 @@ def tensor_charpoly(
     _require_monic_nonconstant(p, "P")
     _require_monic_nonconstant(q, "Q")
     dim = p.degree * q.degree
-    if dim > MAX_COMPANION_DIM:
-        raise DimensionTooLarge(f"tensor dimension {dim} > {MAX_COMPANION_DIM}")
+    if dim > MAX_CHARPOLY_DEGREE:
+        raise DimensionTooLarge(f"tensor dimension {dim} > {MAX_CHARPOLY_DEGREE}")
     if p.degree == 1:
         a = -p.constant_term
         return _scale_roots_or_zero(q, a)
@@ -476,8 +456,8 @@ def exterior_charpoly(p: RationalPolynomial, k: int) -> RationalPolynomial:
     if k > p.degree:
         raise KTooLarge(f"k = {k} > deg P = {p.degree}")
     dim = math.comb(p.degree, k)
-    if dim > MAX_COMPANION_DIM:
-        raise DimensionTooLarge(f"exterior dimension {dim} > {MAX_COMPANION_DIM}")
+    if dim > MAX_CHARPOLY_DEGREE:
+        raise DimensionTooLarge(f"exterior dimension {dim} > {MAX_CHARPOLY_DEGREE}")
     s = power_sums(p, k * dim)
     sign = -1 if k % 2 else 1
     traces = [dim] + [

@@ -9,11 +9,13 @@ factor r, where d is the slope denominator).  Inputs whose residuals are not
 squarefree are retried after a deterministic schedule of shifts T -> T + s;
 a successful shifted analysis is mapped back by matching local degrees
 against the original polygon, and the search gives up with
-PrecisionExhausted rather than ever guessing.
+PrecisionExhausted rather than ever guessing.  The working precision is
+set by ord_p(disc P), read off the integer remainder sequence of P and P'.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -299,25 +301,23 @@ def _match_degrees(
 
 
 def _discriminant_valuation(p_poly: RationalPolynomial, p: int) -> int:
-    """ord_p of disc(P) for monic integral squarefree P, via a Sylvester det."""
-    from ._linalg import det
+    """ord_p of disc(P) = +-Res(P, P') for monic integral squarefree P.
 
-    g = p_poly.derivative()
-    m, n = p_poly.degree, g.degree
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(reversed(p_poly.coeffs)):
-            row[i + j] = c
-        rows.append(tuple(row))
-    for i in range(m):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(reversed(g.coeffs)):
-            row[i + j] = c
-        rows.append(tuple(row))
-    resultant = det(tuple(rows))
-    return ord_frac(resultant, p)
+    Summed along the remainder sequence: |lc B|^e A = Q B + k C with
+    e = dA - dB + 1 and C primitive gives Res(B, A) = +-lc(B)^(dA - dC - e dB)
+    k^dB Res(B, C).
+    """
+    a = [int(c) for c in p_poly.coeffs]
+    b = [i * c for i, c in enumerate(a)][1:]
+    v = 0
+    while len(b) > 1:
+        r = _modp.zx_pdivmod(a, b)[1]
+        k = math.gcd(*r)
+        c = [x // k for x in r]
+        v += ((len(a) - len(c) - (len(a) - len(b) + 1) * (len(b) - 1)) * ord_int(b[-1], p)
+              + (len(b) - 1) * ord_int(k, p))
+        a, b = b, c
+    return v + (len(a) - 1) * ord_int(b[0], p)
 
 
 @lru_cache(maxsize=4096)

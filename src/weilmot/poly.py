@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from ._modp import zx_prs
+
 Scalar = Union[int, Fraction, str]
 
 
@@ -233,13 +235,10 @@ class RationalPolynomial:
         return RationalPolynomial(reversed(self.coeffs))
 
     def gcd(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        """Monic gcd over Q."""
-        a, b = self, _coerce(other)
-        while not b.is_zero:
-            a, b = b, a % b
-        if a.is_zero:
-            return a
-        return a.monic()
+        """Monic gcd over Q: the last entry of the primitive remainder sequence."""
+        _, a = self.content_and_primitive()
+        _, b = _coerce(other).content_and_primitive()
+        return RationalPolynomial(zx_prs(a, b)[-1]).monic()
 
     def xgcd(self, other: "RationalPolynomial"):
         """Extended gcd: returns (g, u, v) with u*self + v*other = g, g monic."""

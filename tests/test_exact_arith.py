@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import coeffs_close, float_roots, poly_from_float_roots, random_squarefree
@@ -99,6 +99,26 @@ def test_factor_product_roundtrip(parts):
     assert factor_rational_poly(target).expand() == target
 
 
+# ------------------------------------------------- integer pseudo-division
+
+int_polys = st.lists(st.integers(-50, 50), max_size=8).map(_modp.trim)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_polys, int_polys.filter(bool))
+@example([1, 2, 3, 4], [5, 0, -3])    # negative leading coefficient
+@example([3, -7], [1, 2, 6])          # deg a < deg b
+@example([], [4, 2])
+def test_zx_pdivmod_is_scaled_division(a, b):
+    q, r = _modp.zx_pdivmod(a, b)
+    scale = abs(b[-1]) ** max(len(a) - len(b) + 1, 0)
+    assert poly(a) * scale == poly(q) * poly(b) + poly(r)
+    assert len(r) < len(b)
+    # the scale is positive: Q and R are that multiple of the quotient and
+    # remainder over Q, signs included
+    assert (poly(q), poly(r)) == tuple(x * scale for x in divmod(poly(a), poly(b)))
+
+
 # ------------------------------------------------------------------- Sturm
 
 def test_sturm_examples():
@@ -151,6 +171,11 @@ def test_sturm_variations_match_sturm_count(seed):
     ends = [None, *points, None]
     for k, (lo, hi) in enumerate(zip(ends, ends[1:])):
         assert variations[k] - variations[k + 1] == sturm_count(p, lo, hi)
+    # a nonzero multiple has the same roots, so the same counts and variations
+    for scaled in (-p, p * Fraction(3, 5)):
+        assert sturm_variations(scaled, points) == variations
+        for lo, hi in zip(ends, ends[1:]):
+            assert sturm_count(scaled, lo, hi) == sturm_count(p, lo, hi)
 
 
 # --------------------------------------------------------------------- CRT

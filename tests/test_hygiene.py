@@ -6,6 +6,10 @@ and ``from __future__`` imports are exempt.
 
 Every private (``_name``, not dunder) function or class defined in
 `src/weilmot` is referenced somewhere in `src/weilmot` outside its own body.
+So is every top-level function of the integer and power-sum kernels
+(`_modp`, `_linalg`), unless the benchmark's tracer wraps it by name: such a
+function is listed in ``ENTRY_POINTS`` of `perfbench/tracing.py`, which is
+read here, never edited.
 
 The library is exact: no module in `src/weilmot` has a float literal, a
 ``float(...)`` call or a use of ``math.sqrt``, ``math.log``, ``math.exp`` or
@@ -62,29 +66,37 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
-def dead_private_defs(sources: dict[str, str]) -> list[str]:
-    """Private defs of {module name: source} never referenced outside their own body."""
-    defs = []
+def references(sources: dict[str, str]) -> dict[str, list[tuple[str, int]]]:
+    """Every name, attribute and imported name in {module name: source}, with where it occurs."""
     refs: dict[str, list[tuple[str, int]]] = {}
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if _is_private(node.name):
-                    defs.append((module, node))
-            elif isinstance(node, ast.Name):
+            if isinstance(node, ast.Name):
                 refs.setdefault(node.id, []).append((module, node.lineno))
             elif isinstance(node, ast.Attribute):
                 refs.setdefault(node.attr, []).append((module, node.lineno))
             elif isinstance(node, ast.ImportFrom):
                 for alias in node.names:
                     refs.setdefault(alias.name, []).append((module, node.lineno))
+    return refs
+
+
+def _unreferenced(module: str, node, refs) -> bool:
+    return all(
+        m == module and node.lineno <= line <= node.end_lineno
+        for m, line in refs.get(node.name, [])
+    )
+
+
+def dead_private_defs(sources: dict[str, str]) -> list[str]:
+    """Private defs of {module name: source} never referenced outside their own body."""
+    refs = references(sources)
     return [
         f"{module}:{node.lineno} {node.name}"
-        for module, node in defs
-        if all(
-            m == module and node.lineno <= line <= node.end_lineno
-            for m, line in refs.get(node.name, [])
-        )
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and _is_private(node.name) and _unreferenced(module, node, refs)
     ]
 
 
@@ -99,6 +111,51 @@ def test_detector_flags_a_dead_private_def():
 
 def test_no_dead_private_defs():
     assert dead_private_defs({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+KERNELS = ("_modp", "_linalg")
+
+
+def uncalled_kernel_functions(sources: dict[str, str], kernels, traced) -> list[str]:
+    """Top-level functions of the kernel modules never referenced outside their own
+    body, except those in traced, a set of (module name, function name)."""
+    refs = references(sources)
+    return [
+        f"{module}:{node.lineno} {node.name}"
+        for module in kernels
+        for node in ast.parse(sources[module]).body
+        if isinstance(node, ast.FunctionDef) and (module, node.name) not in traced
+        and _unreferenced(module, node, refs)
+    ]
+
+
+def tracer_entry_points() -> set[tuple[str, str]]:
+    """(module name, attribute) of every ENTRY_POINTS row in perfbench/tracing.py."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    rows = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "ENTRY_POINTS" for t in node.targets)
+    )
+    return {(module.rpartition(".")[2], attr) for module, attr, *_ in ast.literal_eval(rows)}
+
+
+def test_detector_flags_an_uncalled_kernel_function():
+    sources = {
+        "k": "def used(): pass\ndef traced(): pass\ndef dead(): dead()\n"
+             "def _helper(): pass\nclass Node: pass\n",
+        "b": "from k import used, _helper\nused()\n",
+    }
+    assert uncalled_kernel_functions(sources, ["k"], {("k", "traced")}) == ["k:3 dead"]
+    assert uncalled_kernel_functions(sources, ["k"], set()) == ["k:2 traced", "k:3 dead"]
+
+
+def test_kernel_functions_have_a_caller_or_a_tracer_row():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert uncalled_kernel_functions(sources, KERNELS, tracer_entry_points()) == []
+    # _linalg.det has no library caller; only the tracer's row keeps it
+    [kept] = uncalled_kernel_functions(sources, KERNELS, set())
+    assert kept.startswith("_linalg:") and kept.endswith(" det")
 
 
 FLOAT_MATH = {"sqrt", "log", "exp", "pow"}

@@ -4,10 +4,10 @@ The library reads tensor, exterior and beta^2 characteristic polynomials off
 power sums of roots.  The oracle builds the same polynomials the matrix way,
 in sympy: the charpoly of the Kronecker product of companion matrices, of the
 k-th compound matrix, and of (C + Q C^-1)^2 for the companion matrix C.
-Factorization over Q and gcd/xgcd are checked against sympy's factor_list,
-gcd and gcdex, the CRT idempotents against cofactor inverses from sympy's
-invert, and discriminant valuations against sympy's discriminant.  Equality
-is exact.
+Factorization over Q, Yun's squarefree decomposition and gcd/xgcd are
+checked against sympy's factor_list, sqf_list, gcd and gcdex, the CRT
+idempotents against cofactor inverses from sympy's invert, and discriminant
+valuations against sympy's discriminant.  Equality is exact.
 """
 
 from fractions import Fraction
@@ -16,7 +16,9 @@ from itertools import combinations
 import pytest
 
 from conftest import admissible_traces, elliptic_l1, random_monic, random_squarefree
+from weilmot import PrimePower, zeta_from_curve, zeta_product
 from weilmot.exact_arith import (
+    _yun_squarefree,
     crt_basis,
     exterior_charpoly,
     factor_rational_poly,
@@ -164,11 +166,43 @@ def test_crt_basis_matches_sympy_invert(rng):
         assert crt_basis(moduli) == expect, moduli
 
 
+def test_yun_squarefree_matches_sympy_sqf_list(rng):
+    cases = [random_monic(rng, 3) * random_monic(rng, 2) ** 2 * random_monic(rng, 2) ** 3
+             for _ in range(10)]
+    cases += [rational_monic(rng, 3) ** 2 * rational_monic(rng, 4) for _ in range(4)]
+    cases += [a * a * b for a, b in zip(weil_shaped(), weil_shaped()[7::5])]
+    # C_3 of a product of three genus-2 curves over F_3 (ROADMAP's C1 x C2 x C3)
+    curves = [zeta_from_curve(poly(l), PrimePower(3, 1))
+              for l in ((1, 1, 3, 3, 9), (1, 2, 4, 6, 9), (1, -1, 2, -3, 9))]
+    c3 = zeta_product(zeta_product(curves[0], curves[1]), curves[2]).charpoly(3)
+    assert [(f.degree, m) for f, m in _yun_squarefree(c3)] == [(64, 1), (12, 2)]
+    for p in cases + [c3]:
+        expect = [(from_sympy(f).monic(), m) for f, m in sympy.sqf_list(to_sympy(p))[1]]
+        assert _yun_squarefree(p) == expect, p
+
+
 def test_discriminant_valuation_matches_sympy(rng):
-    cases = [random_squarefree(rng, 6) for _ in range(12)] + weil_shaped()[::2]
-    for p_poly in cases:
+    primes = (2, 3, 5, 7)
+    cases = [(f, p) for f in [random_squarefree(rng, 6) for _ in range(12)] + weil_shaped()[::2]
+             for p in primes]
+    for p in primes:
+        for _ in range(3):
+            # every coefficient below the leading one divisible by p
+            n = rng.randint(2, 9)
+            cases.append((poly([p * rng.randint(-4, 4) for _ in range(n)] + [1]), p))
+            # coefficients off the multiples of p divisible by p, so p | content(P')
+            n = p * rng.randint(1, 3)
+            cases.append((poly([rng.randint(-4, 4) * (1 if i % p == 0 else p)
+                                for i in range(n)] + [1]), p))
+    for _ in range(6):
+        # degree >= 10 with wider coefficients
+        f = poly([rng.randint(-30, 30) for _ in range(rng.randint(10, 16))] + [1])
+        cases += [(f, p) for p in primes]
+    checked = 0
+    for p_poly, p in cases:
         disc = sympy.discriminant(to_sympy(p_poly))
         if disc == 0:
             continue
-        for p in (2, 3, 5, 7):
-            assert _discriminant_valuation(p_poly, p) == sympy.multiplicity(p, disc), (p_poly, p)
+        checked += 1
+        assert _discriminant_valuation(p_poly, p) == sympy.multiplicity(p, disc), (p_poly, p)
+    assert checked > len(cases) * 3 // 4
