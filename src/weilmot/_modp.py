@@ -1,8 +1,10 @@
-"""Integer-list polynomials: remainder sequences over Z, arithmetic mod p^k.
+"""Integer-list polynomials: products and remainders over Z, arithmetic mod p^k.
 
-Internal kernel for gcds, Sturm chains and discriminants (``zx_``, over Z),
-Zassenhaus factorization, p-adic places and CRT lifting (``mp_``, reduced
-mod p or p^k).  Polynomials are dense ``list[int]``, ascending, no trailing zeros.
+Internal kernel for products, gcds, Sturm chains, discriminants and the CRT
+cofactors (``zx_``, over Z), and for Zassenhaus factorization, p-adic places
+and CRT lifting (``mp_``, reduced mod p or p^k).  Polynomials are dense
+``list[int]``, ascending, no trailing zeros.  ``zx_mul`` is the one
+multiplication loop; ``mp_mul`` reduces its output.
 
 Equal-degree splitting uses Cantor-Zassenhaus with a seeded generator, so
 factorizations are deterministic across runs.
@@ -24,6 +26,18 @@ def zx_primitive(f: list[int]) -> list[int]:
     """f divided by the positive gcd of its coefficients; signs are kept."""
     g = math.gcd(*f)
     return [c // g for c in f] if g > 1 else list(f)
+
+
+def zx_mul(f: list[int], g: list[int]) -> list[int]:
+    """f * g in Z[x] (no trailing zeros, since Z has no zero divisors)."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+    return out
 
 
 def zx_pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -84,15 +98,8 @@ def mp_sub(f: list[int], g: list[int], m: int) -> list[int]:
 
 
 def mp_mul(f: list[int], g: list[int], m: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % m
-    return trim(out)
+    """f * g mod m: the product over Z, each coefficient reduced once."""
+    return trim([c % m for c in zx_mul(f, g)])
 
 
 def mp_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:

@@ -334,34 +334,46 @@ def _inverse_by_lifting(
             if frac is None:
                 continue
             numer, den = frac
-            if RationalPolynomial(m).divides(
-                RationalPolynomial(a) * RationalPolynomial(numer) - den
-            ):
+            check = _modp.zx_mul(a, numer)
+            check[0] -= den
+            if not _modp.zx_pdivmod(_modp.trim(check), m)[1]:
                 return numer, den
 
 
 def crt_basis(moduli: list[RationalPolynomial]) -> list[RationalPolynomial]:
     """CRT idempotents: E_k = delta_kj (mod m_j), deg E_k < sum deg m_j.
 
-    With M = prod m_j and cofactor c_k = M // m_k, E_k = c_k * u_k where
+    E_k = c_k * u_k with cofactor c_k = prod_{j != k} m_j and
     u_k = c_k^-1 (mod m_k) (von zur Gathen & Gerhard, Modern Computer Algebra,
-    5.4).  Each u_k is computed modulo a word-size prime p, Newton-lifted to
-    mod p^(2^i) (MCA 9.1) and rationally reconstructed (MCA 5.10) until an
-    exact check certifies it; Euclid over Q runs only to name a shared factor
-    when gcd(c_k, m_k) mod p is nonconstant.  Moduli must be nonconstant and
-    pairwise coprime; a shared factor raises NotCoprime naming the
-    lexicographically first offending pair.
+    5.4).  Everything runs on the primitive integer forms of the moduli: the
+    cofactors come from prefix and suffix products, and the pseudo-remainder
+    lc^e * c_k = g * a_k (mod m_k), with a_k primitive, is inverted modulo a
+    word-size prime p, Newton-lifted to mod p^(2^i) (MCA 9.1) and rationally
+    reconstructed (MCA 5.10) until an exact check in Z[x] certifies
+    a_k * U = L (mod m_k).  Then E_k = c_k * U * lc^e / (g * L), the only
+    rational step.  Euclid runs only to name a shared factor, when c_k = 0
+    (mod m_k) or gcd(a_k, m_k) mod p is nonconstant.  Moduli must be
+    nonconstant and pairwise coprime; a shared factor raises NotCoprime
+    naming the lexicographically first offending pair.
     """
     for idx, m in enumerate(moduli):
         if m.degree < 1:
             raise RangeError(f"modulus #{idx} is constant")
-    big = poly_product(moduli)
+    prims = [m.content_and_primitive()[1] for m in moduli]
+    prefix, suffix = [[1]], [[1]]
+    for m, n in zip(prims[:-1], reversed(prims[1:])):
+        prefix.append(_modp.zx_mul(prefix[-1], m))
+        suffix.append(_modp.zx_mul(suffix[-1], n))
     basis = []
-    for m in moduli:
-        c = big // m
-        content, a = (c % m).content_and_primitive()
-        numer, den = _inverse_by_lifting(a, m.content_and_primitive()[1], moduli)
-        basis.append(c * RationalPolynomial(numer) * (1 / (content * den)))
+    for m, before, after in zip(prims, prefix, reversed(suffix)):
+        c = _modp.zx_mul(before, after)
+        rem = _modp.zx_pdivmod(c, m)[1]
+        if not rem:
+            _raise_shared_pair(moduli)
+        g = math.gcd(*rem)
+        numer, den = _inverse_by_lifting([x // g for x in rem], m, moduli)
+        scale = Fraction(m[-1] ** max(len(c) - len(m) + 1, 0), g * den)
+        basis.append(RationalPolynomial(x * scale for x in _modp.zx_mul(c, numer)))
     return basis
 
 

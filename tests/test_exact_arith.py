@@ -99,9 +99,32 @@ def test_factor_product_roundtrip(parts):
     assert factor_rational_poly(target).expand() == target
 
 
-# ------------------------------------------------- integer pseudo-division
+# ------------------------------------------ integer products and division
 
 int_polys = st.lists(st.integers(-50, 50), max_size=8).map(_modp.trim)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_polys, int_polys)
+@example([], [3, -1])
+@example([2, 5], [])
+@example([-4], [-3, 0, 7])             # degree 0, negative coefficients
+@example([-1, -2, 0, -3], [-5, 1])
+def test_zx_mul_matches_rational_product(f, g):
+    assert _modp.zx_mul(f, g) == [int(c) for c in (poly(f) * poly(g)).coeffs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_polys, int_polys,
+       st.sampled_from([8, 9, 3 ** 5, 7 ** 4, (2 ** 31 - 1) ** 2, (2 ** 31 - 1) ** 4]))
+@example([3, 3], [-3, 3], 9)           # leading coefficient 9 = 0 mod 9
+@example([-1, -(2 ** 31 - 1)], [2 ** 31 - 1, 2 ** 31 - 1], (2 ** 31 - 1) ** 2)
+def test_mp_mul_reduces_the_integer_product(f, g, m):
+    # m = p^k as in Hensel and inverse lifting; the product is reduced once
+    # per coefficient and trimmed where the leading coefficients vanish mod m
+    expect = _modp.trim([int(c) % m for c in (poly(f) * poly(g)).coeffs])
+    assert _modp.mp_mul(f, g, m) == expect
+    assert _modp.mp_mul(f, g, m) == _modp.trim([c % m for c in _modp.zx_mul(f, g)])
 
 
 @settings(max_examples=80, deadline=None)
@@ -235,6 +258,14 @@ def test_crt_not_coprime_names_lexicographically_first_pair():
         ])
     assert exc.value.pair == (0, 3)
     assert str(exc.value) == "moduli #0 and #3 share the factor T + 1"
+
+
+def test_crt_modulus_dividing_its_cofactor_names_pair():
+    # the cofactor of T - 1 is (T - 1)(T - 2), whose remainder mod T - 1 is 0
+    with pytest.raises(NotCoprime) as exc:
+        crt_basis([poly((-1, 1)), poly((-1, 1)) * poly((-2, 1))])
+    assert exc.value.pair == (0, 1)
+    assert str(exc.value) == "moduli #0 and #1 share the factor T - 1"
 
 
 def test_crt_coprime_moduli_run_no_gcd(monkeypatch):

@@ -1,5 +1,7 @@
 """motives: zeta data, products, idempotents, pole orders, Hom calculus."""
 
+from collections import Counter
+
 import pytest
 
 from conftest import elliptic_zeta
@@ -226,26 +228,47 @@ def test_kunneth_idempotents_examples():
 
 
 def test_kunneth_idempotents_run_one_modular_xgcd_per_modulus(monkeypatch):
+    # ... and no Fraction polynomial arithmetic: the CRT runs on integer lists
     e, e2, e3 = elliptic_zeta(2, 1), elliptic_zeta(2, 0), elliptic_zeta(2, -2)
     cases = [(zeta_product(e, e2), 5), (zeta_product(zeta_product(e, e2), e3), 7)]
-    calls = {"xgcd": 0, "mp_xgcd": 0}
-    xgcd, mp_xgcd = RationalPolynomial.xgcd, _modp.mp_xgcd
+    counted = [(RationalPolynomial, name) for name in ("xgcd", "__mul__", "__divmod__", "divides")]
+    counted.append((_modp, "mp_xgcd"))
+    calls = Counter()
 
-    def counting_xgcd(a, b):
-        calls["xgcd"] += 1
-        return xgcd(a, b)
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    def counting_mp_xgcd(f, g, p):
-        calls["mp_xgcd"] += 1
-        return mp_xgcd(f, g, p)
-
-    monkeypatch.setattr(RationalPolynomial, "xgcd", counting_xgcd)
-    monkeypatch.setattr(_modp, "mp_xgcd", counting_mp_xgcd)
+    for owner, name in counted:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     for z, nonconstant in cases:
-        calls.update(xgcd=0, mp_xgcd=0)
-        kunneth_idempotents(z)
         assert sum(not c.is_constant for c in z.charpolys()) == nonconstant
-        assert calls == {"xgcd": 0, "mp_xgcd": nonconstant}
+        calls.clear()
+        kunneth_idempotents(z)
+        assert calls == {"mp_xgcd": nonconstant}
+
+
+def test_kunneth_idempotents_of_e4_are_the_crt_basis():
+    # E^4 (E: q = 2, L = 1 - T + 2T^2): all 81 residues E_i = delta_ij
+    # (mod C_j), checked in Z[x] after clearing each E_i's denominator (the
+    # C_j are monic, so pseudo-division is plain division), and sum E_i = 1.
+    e = elliptic_zeta(2, 1)
+    z = e
+    for _ in range(3):
+        z = zeta_product(z, e)
+    moduli = [c.content_and_primitive()[1] for c in z.charpolys()]
+    assert [len(m) - 1 for m in moduli] == [1, 8, 28, 56, 70, 56, 28, 8, 1]
+    assert all(m[-1] == 1 for m in moduli)
+    idems = kunneth_idempotents(z)
+    for i, p_i in enumerate(idems):
+        den = p_i.denominator_lcm()
+        numer = [int(c * den) for c in p_i.coeffs]
+        assert p_i.degree < 256
+        for j, m in enumerate(moduli):
+            assert _modp.zx_pdivmod(numer, m)[1] == ([den] if i == j else []), (i, j)
+    assert sum(idems, RationalPolynomial.zero()) == RationalPolynomial.one()
 
 
 def test_kunneth_idempotents_name_shared_degrees():

@@ -155,8 +155,27 @@ def test_crt_basis_matches_sympy_invert(rng):
     def non_monic():
         return random_monic(rng, 3) * rng.choice((2, 3, -5, Fraction(2, 7)))
 
-    draws = [lambda: random_monic(rng, 4), lambda: rational_monic(rng, 3), non_monic]
+    def primitive_non_monic():
+        # primitive with |lc| > 1 (e.g. 3T^2 + T - 2): the pseudo-remainder
+        # of a cofactor carries a power of lc
+        while True:
+            lc = rng.choice((2, 3, -5))
+            p = poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))] + [lc])
+            if p.content_and_primitive()[0] in (1, -1):
+                return p
+
+    def congruent_family():
+        # m_k = m + 2 * h_k with deg h_k < deg m: a cofactor of n - 1 moduli
+        # is 2^(n-1) * (...) mod m_k, so its remainder has content > 1
+        base = random_monic(rng, 3)
+        return lambda: base + 2 * poly([rng.randint(-2, 2) for _ in range(base.degree)])
+
+    draws = [lambda: random_monic(rng, 4), lambda: rational_monic(rng, 3), non_monic,
+             primitive_non_monic]
     cases = [coprime_moduli(draw, rng.randint(2, 4)) for draw in draws for _ in range(5)]
+    cases.append([poly((-2, 1, 3)), poly((1, 0, 2)), poly((-1, 5))])
+    for count in (2, 3, 3, 4):
+        cases.append(coprime_moduli(congruent_family(), count))
     for moduli in cases:
         big = to_sympy(poly_product(moduli))
         expect = []
