@@ -126,7 +126,8 @@ class OddProduct(WeilmotError):
 
 
 class CertificationFailed(WeilmotError):
-    """Exterior-power containment certificate failed (implementation bug if reached)."""
+    """An exact certificate failed: exterior-power containment, or an inexact
+    Newton division in the integer charpoly kernel (implementation bug if reached)."""
 
 
 # ------------------------------------------------------------------------ cli

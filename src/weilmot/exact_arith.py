@@ -6,7 +6,8 @@ lifting (cofactor inverses modulo a word-size prime, Newton-lifted and
 rationally reconstructed; von zur Gathen & Gerhard, Modern Computer Algebra,
 9.1 and 5.10), L-polynomial/charpoly reciprocal transforms, and
 tensor/exterior characteristic polynomials from exact power sums of roots
-(Newton's identities).  Gcds and trial divisions run on integer lists too.
+(Newton's identities on the integer form of each operand).  Gcds and trial
+divisions run on integer lists too.
 
 All functions are pure and all values immutable; everything here is safe to
 share between threads.
@@ -205,9 +206,8 @@ def is_irreducible(p: RationalPolynomial) -> bool:
 
 # ------------------------------------------------------------ Sturm sequences
 
-def _sturm_chain(p: RationalPolynomial) -> list[list[int]]:
-    """Integer Sturm chain of p's primitive multiple, which has the same variations."""
-    _, a = p.content_and_primitive()
+def _sturm_chain(a: list[int]) -> list[list[int]]:
+    """Integer Sturm chain a, a', ... of a nonzero integer polynomial (zx_prs)."""
     return _modp.zx_prs(a, _modp.zx_primitive([i * c for i, c in enumerate(a)][1:]))
 
 
@@ -248,7 +248,7 @@ def sturm_count(p: RationalPolynomial, lo=None, hi=None) -> int:
         raise ZeroPolynomial("Sturm count of the zero polynomial")
     if p.is_constant:
         return 0
-    chain = _sturm_chain(p)
+    chain = _sturm_chain(p.content_and_primitive()[1])
     if len(chain[-1]) > 1:
         raise NotSquarefree("gcd(P, P') is nonconstant")
     if lo is not None and hi is not None and Fraction(lo) >= Fraction(hi):
@@ -256,12 +256,14 @@ def sturm_count(p: RationalPolynomial, lo=None, hi=None) -> int:
     return _variations_at(chain, lo, False) - _variations_at(chain, hi, True)
 
 
-def sturm_variations(p: RationalPolynomial, points) -> tuple[int, ...]:
+def sturm_variations(a: list[int], points) -> tuple[int, ...]:
     """Variations of one Sturm chain at -inf, each point, +inf (see sturm_count).
 
-    p must be squarefree and nonconstant; unlike sturm_count it is not re-checked.
+    a is an integer coefficient list (ascending), squarefree and nonconstant;
+    unlike sturm_count it is not re-checked.  A nonzero multiple of a has the
+    same variations.
     """
-    chain = _sturm_chain(p)
+    chain = _sturm_chain(a)
     return (
         _variations_at(chain, None, False),
         *(_variations_at(chain, x, False) for x in points),
@@ -426,14 +428,32 @@ def _require_monic_nonconstant(p: RationalPolynomial, name: str):
         raise NotMonic(f"{name} must be monic and nonconstant")
 
 
+def _integral_form(p: RationalPolynomial) -> tuple[list[int], int]:
+    """(P~, D) for monic p: D is the lcm of the coefficient denominators and
+    P~ = D^d p(T/D) the monic integer polynomial whose roots are D times p's."""
+    d, den = p.degree, p.denominator_lcm()
+    return [
+        c.numerator * (den // c.denominator) * den ** (d - i - 1)
+        for i, c in enumerate(p.coeffs[:-1])
+    ] + [1], den
+
+
+def _unscale_roots(c: list[int], den: int) -> RationalPolynomial:
+    """The monic rational polynomial whose roots are those of monic c divided by den."""
+    n = len(c) - 1
+    return RationalPolynomial(Fraction(x, den ** (n - i)) for i, x in enumerate(c))
+
+
 def tensor_charpoly(
     p: RationalPolynomial, q: RationalPolynomial
 ) -> RationalPolynomial:
     """Monic polynomial whose roots are the pairwise products of roots.
 
     The j-th power sum of the products is s_j(P) * s_j(Q), and the charpoly
-    is read off those by Newton's identities.  Linear operands short-circuit
-    to a root rescaling, which keeps zeta-function Kunneth products fast.
+    is read off those by Newton's identities, in integers: the roots of P and
+    Q are first scaled by D_P and D_Q (_integral_form), and the result's by
+    1/(D_P D_Q).  Linear operands short-circuit to a root rescaling, which
+    keeps zeta-function Kunneth products fast.
     """
     _require_monic_nonconstant(p, "P")
     _require_monic_nonconstant(q, "Q")
@@ -446,7 +466,9 @@ def tensor_charpoly(
     if q.degree == 1:
         b = -q.constant_term
         return _scale_roots_or_zero(p, b)
-    return charpoly([a * b for a, b in zip(power_sums(p, dim), power_sums(q, dim))])
+    (a, da), (b, db) = _integral_form(p), _integral_form(q)
+    traces = [x * y for x, y in zip(power_sums(a, dim), power_sums(b, dim))]
+    return _unscale_roots(charpoly(traces), da * db)
 
 
 def _scale_roots_or_zero(p: RationalPolynomial, s: Fraction) -> RationalPolynomial:
@@ -460,7 +482,8 @@ def exterior_charpoly(p: RationalPolynomial, k: int) -> RationalPolynomial:
 
     The j-th power sum of those products is e_k(alpha^j), the k-th elementary
     symmetric function of the j-th powers of the roots alpha; the power sums
-    of the alpha^j are s_j, s_2j, ..., s_kj.
+    of the alpha^j are s_j, s_2j, ..., s_kj.  It runs on the roots D*alpha of
+    _integral_form(p), and the result's roots are scaled back by 1/D^k.
     """
     _require_monic_nonconstant(p, "P")
     if k < 1:
@@ -470,13 +493,14 @@ def exterior_charpoly(p: RationalPolynomial, k: int) -> RationalPolynomial:
     dim = math.comb(p.degree, k)
     if dim > MAX_CHARPOLY_DEGREE:
         raise DimensionTooLarge(f"exterior dimension {dim} > {MAX_CHARPOLY_DEGREE}")
-    s = power_sums(p, k * dim)
+    a, den = _integral_form(p)
+    s = power_sums(a, k * dim)
     sign = -1 if k % 2 else 1
     traces = [dim] + [
-        sign * charpoly([p.degree] + s[j: k * j + 1: j]).constant_term
+        sign * charpoly([p.degree] + s[j: k * j + 1: j])[0]
         for j in range(1, dim + 1)
     ]
-    return charpoly(traces)
+    return _unscale_roots(charpoly(traces), den ** k)
 
 
 def root_multiplicity(p: RationalPolynomial, value) -> int:

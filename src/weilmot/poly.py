@@ -26,7 +26,7 @@ def _frac(x: Scalar) -> Fraction:
 class RationalPolynomial:
     """Immutable polynomial over Q, coefficients ascending by degree."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_frac(c) for c in coeffs]
@@ -256,14 +256,6 @@ class RationalPolynomial:
         inv = 1 / lc
         return a.monic(), u0 * inv, v0 * inv
 
-    def squarefree_part(self) -> "RationalPolynomial":
-        if self.is_zero:
-            return self
-        g = self.gcd(self.derivative())
-        if g.is_constant:
-            return self.monic()
-        return (self // g).monic()
-
     # -------------------------------------------------- integer-poly support
 
     def denominator_lcm(self) -> int:
@@ -298,7 +290,13 @@ class RationalPolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # computed once: every cache key and multiset dict rehashes these
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.coeffs)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def sort_key(self):
         """Deterministic total order: degree, then ascending coefficient list."""

@@ -4,9 +4,13 @@ Verification is fully exact: a monic irreducible P is the minimal polynomial
 of a Weil q-number of weight m iff |P(0)| is the right power of p, the
 coefficient denominators are p-powers, and every root of the associated
 totally-real test polynomial (the values beta^2 for beta = alpha + q^m/alpha)
-lies in [0, 4q^m] -- all checked by an exact charpoly built from power sums
-of the roots and by Sturm counts, so adversarial near-misses are rejected
-bit-exactly.
+lies in [0, 4q^m].  The test polynomial is built in integers: the roots are
+scaled to algebraic integers, its coefficients come from power sums by the
+``_linalg`` Newton kernel, its squarefree part from the integer remainder
+sequence, and one integer Sturm chain counts its roots, so adversarial
+near-misses are rejected bit-exactly.  Each (P, q) is verified once per
+process: the verdict, a weight or a NotWeil reason, is kept in a bounded
+cache.
 """
 
 from __future__ import annotations
@@ -14,8 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ._linalg import charpoly, power_sums
+from ._modp import zx_pdivmod, zx_primitive, zx_prs
 from .errors import (
     NotEffectiveInput,
     NotMonic,
@@ -62,74 +68,99 @@ def verify_weil(p_poly: RationalPolynomial, q: PrimePower) -> int:
     Exact verification: the unique candidate m is pinned by the constant
     term; beta = alpha + q^m/alpha must be totally real with beta^2 in
     [0, 4q^m] for every embedding, which is tested through Sturm counts on
-    the polynomial whose roots are the beta^2 (_beta_squared_charpoly).
-    Raises NotWeil with a reason on any failure.
+    the integer polynomial whose roots are the (lambda*beta)^2
+    (_beta_squared_charpoly).  Raises NotWeil with a reason on any failure;
+    each raise is a fresh exception, also when the verdict was cached.
     """
     if not p_poly.is_monic or p_poly.degree < 1:
         raise NotMonic("verify_weil requires a monic polynomial of degree >= 1")
     if p_poly.constant_term == 0:
         raise ZeroConstantTerm("P(0) = 0 is not a Weil number")
+    verdict = _weil_verdict(p_poly, q)
+    if isinstance(verdict, int):
+        return verdict
+    message, reason = verdict
+    raise NotWeil(message, reason=reason)
+
+
+@lru_cache(maxsize=4096)
+def _weil_verdict(p_poly: RationalPolynomial, q: PrimePower) -> int | tuple[str, str]:
+    """The weight of monic P with P(0) != 0, or the (message, reason) of its NotWeil."""
     p, a = q.p, q.a
     for c in p_poly.coeffs:
         if not _is_p_power_ratio(Fraction(c.denominator), p):
-            raise NotWeil(
-                f"coefficient denominator {c.denominator} is not a power of p = {p}",
-                reason="denominator",
-            )
+            return (f"coefficient denominator {c.denominator} is not a power of p = {p}",
+                    "denominator")
     d = p_poly.degree
     const = p_poly.constant_term
     if not _is_p_power_ratio(const, p):
-        raise NotWeil(
-            f"|P(0)| = {abs(const)} is not a power of p = {p}",
-            reason="constant-valuation",
-        )
+        return f"|P(0)| = {abs(const)} is not a power of p = {p}", "constant-valuation"
     # ord_q |P(0)| = m*d/2 pins m
     two_ord = 2 * ord_frac(const, p)
     if two_ord % (a * d) != 0:
-        raise NotWeil(
-            f"ord_q|P(0)| = {Fraction(two_ord, 2 * a)} is not m*{d}/2 for integral m",
-            reason="constant-valuation",
-        )
+        return (f"ord_q|P(0)| = {Fraction(two_ord, 2 * a)} is not m*{d}/2 for integral m",
+                "constant-valuation")
     m = two_ord // (a * d)
-    qm = Fraction(q.q) ** m
 
-    g_sf = _beta_squared_charpoly(p_poly, qm).squarefree_part()
-    n_roots = g_sf.degree
-    root_at_zero = 1 if g_sf.constant_term == 0 else 0
-    at_neg_inf, at_zero, at_bound, at_pos_inf = sturm_variations(g_sf, (0, 4 * qm))
+    g, prod_uv = _beta_squared_charpoly(p_poly, Fraction(q.q) ** m, p)
+    g_sf = _squarefree_part(g)
+    n_roots = len(g_sf) - 1
+    root_at_zero = 1 if g_sf[0] == 0 else 0
+    at_neg_inf, at_zero, at_bound, at_pos_inf = sturm_variations(g_sf, (0, 4 * prod_uv))
     total_real = at_neg_inf - at_pos_inf
     if total_real < n_roots:
-        raise NotWeil("beta is not totally real", reason="not-totally-real")
+        return "beta is not totally real", "not-totally-real"
     negatives = at_neg_inf - at_zero - root_at_zero
     if negatives:
-        raise NotWeil("beta has imaginary embeddings", reason="not-totally-real")
+        return "beta has imaginary embeddings", "not-totally-real"
     in_range = at_zero - at_bound + root_at_zero
     if in_range < n_roots:
-        raise NotWeil(
-            f"some |beta| exceeds 2*q^(m/2) for m = {m}", reason="root-bound"
-        )
+        return f"some |beta| exceeds 2*q^(m/2) for m = {m}", "root-bound"
     return m
 
 
-def _beta_squared_charpoly(p_poly: RationalPolynomial, qm: Fraction) -> RationalPolynomial:
-    """Monic polynomial with roots beta^2, beta = alpha + qm/alpha over the roots of P.
+def _beta_squared_charpoly(
+    p_poly: RationalPolynomial, qm: Fraction, p: int
+) -> tuple[list[int], int]:
+    """(G, K = qm*lambda^2): G in Z[T] monic with roots (lambda*beta)^2, beta = alpha + qm/alpha.
 
-    Needs P(0) != 0.  s_j(beta^2) = sum_{i=0}^{2j} C(2j, i) qm^(2j-i) s_{2i-2j}(alpha),
-    where a negative index is a power sum of the 1/alpha, the roots of the
-    reversed P made monic.
+    Needs the coefficient denominators, P(0) and qm to be powers of p up to
+    sign, so alpha and qm/alpha are integral away from p.  lambda = p^e for
+    the least e that makes u = lambda*alpha and v = lambda*qm/alpha algebraic
+    integers: the roots of a monic polynomial are integral iff its
+    coefficients are, and scaling them by p^e multiplies the T^(d-k)
+    coefficient by p^(ek).  The roots qm/alpha have T^(d-k) coefficient
+    c_k qm^k / c_0 for P = sum c_k T^k.  Since uv = K is constant,
+    s_j((u+v)^2) = C(2j, j)*d*K^j + sum_{t=1}^{j} C(2j, j-t)*K^(j-t)*(s_2t(u) + s_2t(v)),
+    and beta^2 in [0, 4qm] iff (lambda*beta)^2 in [0, 4K].  A Weil polynomial
+    with integral coefficients and m >= 0 has lambda = 1, and its Tate twist
+    by r has lambda | q^r, so twists cost no more than the orbit itself.
     """
-    d = p_poly.degree
-    pos = power_sums(p_poly, 2 * d)
-    neg = power_sums(p_poly.reversed_coeffs().monic(), 2 * d)
-    qpow = [qm ** e for e in range(2 * d + 1)]
+    d, c = p_poly.degree, p_poly.coeffs
+    # T^(d-k) coefficients, k = 0..d, of the monic polynomials with roots alpha and qm/alpha
+    tops = ([c[d - k] for k in range(d + 1)], [c[k] * qm ** k / c[0] for k in range(d + 1)])
+    e = max([0] + [-(ord_frac(x, p) // k) for top in tops for k, x in enumerate(top) if k and x])
+    lam = p ** e
+    su, sv = (
+        power_sums([int(x * lam ** k) for k, x in enumerate(top)][::-1], 2 * d)  # integral by e
+        for top in tops
+    )
+    prod_uv = int(lam * lam * qm)
     traces = [d] + [
-        sum(
-            math.comb(2 * j, i) * qpow[2 * j - i] * (pos[2 * (i - j)] if i >= j else neg[2 * (j - i)])
-            for i in range(2 * j + 1)
-        )
+        math.comb(2 * j, j) * d * prod_uv ** j
+        + sum(math.comb(2 * j, j - t) * prod_uv ** (j - t) * (su[2 * t] + sv[2 * t])
+              for t in range(1, j + 1))
         for j in range(1, d + 1)
     ]
-    return charpoly(traces)
+    return charpoly(traces), prod_uv
+
+
+def _squarefree_part(g: list[int]) -> list[int]:
+    """A squarefree integer polynomial with the roots of g: g / gcd(g, g')."""
+    h = zx_prs(g, zx_primitive([i * c for i, c in enumerate(g)][1:]))[-1]
+    if len(h) == 1:
+        return g
+    return zx_primitive(zx_pdivmod(g, h)[0])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,12 @@
 """CLI: subcommands, exit codes, JSON mirroring, stdin/file input."""
 
+import io
 import json
+import sys
+from datetime import timedelta
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR
 from weilmot.cli import main
@@ -236,3 +242,43 @@ def test_isogeny_diagnostics_printed_once(capsys, monkeypatch):
     assert code == 0
     for line in (2, 4, 5):
         assert (out + err).count(f"line {line}:") == 1
+
+
+_coeff = st.integers(-10 ** 6, 10 ** 6)
+_record = st.fixed_dictionaries({
+    "label": st.text(max_size=4),
+    "q": st.integers(2, 64),
+    "g": st.integers(0, 4),
+    "coeffs": st.lists(_coeff, max_size=8),
+}).map(lambda r: {**r, "coeffs": [1] + r["coeffs"]})
+# non-Weil in general: the right length for g, random coefficients
+_sized = st.integers(0, 4).flatmap(lambda g: st.fixed_dictionaries({
+    "label": st.just(f"g{g}"),
+    "q": st.sampled_from((2, 3, 4, 5, 7, 8, 9, 49)),
+    "g": st.just(g),
+    "coeffs": st.lists(_coeff, min_size=2 * g, max_size=2 * g).map(lambda c: [1] + c),
+}))
+# q not a prime power, and fields of the wrong type
+_bad_q = _sized.flatmap(lambda r: st.sampled_from((0, 1, -4, 6, 12, 100, "9", None, 2.5))
+                        .map(lambda q: {**r, "q": q}))
+_lines = st.one_of(
+    st.one_of(_record, _sized, _bad_q).map(json.dumps),
+    st.text(max_size=30),
+    st.one_of(st.integers(), st.lists(st.integers(), max_size=3)).map(json.dumps),
+)
+
+
+@settings(max_examples=80, deadline=timedelta(seconds=10))
+@given(st.lists(_lines, max_size=4))
+def test_verify_isogeny_json_fuzz(lines):
+    # malformed lines, non-Weil records, wrong degrees, q not a prime power:
+    # every batch ends in exit 0/1/2 with exactly one JSON object on stdout
+    saved = sys.stdin, sys.stdout, sys.stderr
+    out = io.StringIO()
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO("\n".join(lines)), out, io.StringIO()
+    try:
+        code = main(["verify", "--isogeny", "--json"])
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    assert code in (0, 1, 2)
+    assert isinstance(json.loads(out.getvalue()), dict)

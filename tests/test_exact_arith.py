@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import coeffs_close, float_roots, poly_from_float_roots, random_squarefree
 from weilmot import _modp
+from weilmot._linalg import charpoly
 from weilmot.errors import (
     BadConstantTerm,
+    CertificationFailed,
     DegreeHintMismatch,
     DimensionTooLarge,
     KTooLarge,
@@ -188,15 +190,17 @@ def test_sturm_variations_match_sturm_count(seed):
     rng = random.Random(seed)
     p = random_squarefree(rng, 8)
     points = sorted({Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(4)})
-    variations = sturm_variations(p, points)
+    _, a = p.content_and_primitive()
+    variations = sturm_variations(a, points)
     assert len(variations) == len(points) + 2
     assert variations[0] - variations[-1] == sturm_count(p)
     ends = [None, *points, None]
     for k, (lo, hi) in enumerate(zip(ends, ends[1:])):
         assert variations[k] - variations[k + 1] == sturm_count(p, lo, hi)
     # a nonzero multiple has the same roots, so the same counts and variations
+    for factor in (-1, 3, -6):
+        assert sturm_variations([factor * c for c in a], points) == variations
     for scaled in (-p, p * Fraction(3, 5)):
-        assert sturm_variations(scaled, points) == variations
         for lo, hi in zip(ends, ends[1:]):
             assert sturm_count(scaled, lo, hi) == sturm_count(p, lo, hi)
 
@@ -347,6 +351,16 @@ def test_reciprocal_involution():
         c = reciprocal_transform(l)
         assert to_l_polynomial(c) == l
         assert reciprocal_transform(to_l_polynomial(c)) == c
+
+
+# ------------------------------------------------------ Newton kernel
+
+def test_charpoly_divides_exactly_or_certifies_failure():
+    assert charpoly([2, 3, 5]) == [2, -3, 1]  # roots 1 and 2
+    # power sums s_1 = 2, s_2 = 1 would need e_2 = (2^2 - 1)/2 = 3/2: no two
+    # algebraic integers have them, and the step must not floor 3/2 to 1
+    with pytest.raises(CertificationFailed):
+        charpoly([2, 2, 1])
 
 
 # ------------------------------------------------------------ tensor product

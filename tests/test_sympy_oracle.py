@@ -101,15 +101,36 @@ def test_exterior_charpoly_matches_compound(rng):
 
 
 def test_beta_squared_charpoly_matches_matrix(rng):
-    cases = [(p, Fraction(q) ** m) for p in weil_shaped()[::3] for q in (2, 9) for m in (1, 2)]
-    for _ in range(12):
-        p = rational_monic(rng, 5)
-        if p.constant_term != 0:
-            cases.append((p, Fraction(rng.choice((2, 3, 4, 5))) ** rng.randint(-1, 2)))
-    for p, qm in cases:
-        c = companion(p)
+    # the integer polynomial has roots (lambda*beta)^2 with lambda^2 = K/qm a
+    # power of p: G(z) = lambda^2d h(z/lambda^2) for h the charpoly of
+    # (C + qm C^-1)^2
+    cases = []  # (P, p, qm, a multiple of lambda, or None)
+    for q in (2, 3, 4, 9):
+        pp = PrimePower.from_q(q)
+        curves = [reciprocal_transform(elliptic_l1(q, a)) for a in admissible_traces(q)[::2]]
+        for c, w in [(c, 1) for c in curves] + [(a * b, 2) for a, b in zip(curves, curves[2:])]:
+            cases.append((c, pp.p, Fraction(q) ** w, 1))  # integral Weil: lambda = 1
+            cases.append((c, pp.p, Fraction(q) ** (w + 1), None))  # off the circle
+            for r in (1, 2):  # Tate twists, weights down to -3: lambda | q^r
+                twisted = c.scale_roots(Fraction(1, q) ** r)
+                cases.append((twisted, pp.p, Fraction(q) ** (w - 2 * r), q ** r))
+    for _ in range(12):  # rational: p-power denominators and P(0) = +-p^k
+        p = rng.choice((2, 3, 5))
+        f = random_monic(rng, 5)
+        coeffs = [Fraction(rng.choice((1, -1)) * p ** rng.randint(0, 3))]
+        coeffs += [c / p ** rng.randint(0, 2) for c in f.coeffs[1:-1]] + [1]
+        cases.append((poly(coeffs), p, Fraction(p) ** rng.randint(-3, 2), None))
+    assert any(qm.denominator > 1 for _, _, qm, _ in cases)
+    assert any(f.denominator_lcm() > 1 for f, _, _, _ in cases)
+    for f, p, qm, lam_bound in cases:
+        c = companion(f)
         beta = c + _rational(qm) * c.inv()
-        assert _beta_squared_charpoly(p, qm) == sympy_charpoly(beta * beta), (p, qm)
+        g, prod_uv = _beta_squared_charpoly(f, qm, p)
+        lam2 = prod_uv / qm
+        assert any(lam2 == p ** (2 * e) for e in range(40)), (f, qm)
+        assert RationalPolynomial(g) == sympy_charpoly(beta * beta).scale_roots(lam2), (f, qm)
+        if lam_bound is not None:
+            assert (lam_bound ** 2 / lam2).denominator == 1, (f, qm)
 
 
 def test_factor_matches_sympy_factor_list(rng):

@@ -1,17 +1,23 @@
 """weil: verification, effectivity, twists, coniveau, restriction, m-th roots."""
 
+import math
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import weilmot.weil as weil_module
 from weilmot import (
     NotEffectiveInput,
+    NotMonic,
     NotWeil,
     PrimePower,
     TateStructure,
     WeightMismatch,
     WeilOrbit,
+    ZeroConstantTerm,
     coniveau_sub,
     is_effective,
     mth_root_factors,
@@ -22,7 +28,7 @@ from weilmot import (
     verify_weil,
     weil_restriction_charpoly,
 )
-from weilmot.poly import poly
+from weilmot.poly import RationalPolynomial, poly
 
 Q2 = PrimePower(2, 1)
 Q4 = PrimePower(2, 2)
@@ -90,6 +96,202 @@ def test_verify_near_miss_scaled_circle():
     with pytest.raises(NotWeil) as exc:
         verify_weil(poly((5, -5, 1)), Q5)
     assert exc.value.reason == "root-bound"
+
+
+# --------------------------------------------- Fraction reference verifier
+# Weil verification over Q as the library did it before its integer kernel:
+# Fraction power sums and Newton steps, Fraction Euclid, a Fraction Sturm chain.
+
+def reference_power_sums(p: RationalPolynomial, n: int) -> list[Fraction]:
+    d = p.degree
+    a = [p.coeff(d - i) for i in range(d + 1)]
+    s = [Fraction(d)]
+    for k in range(1, n + 1):
+        acc = -k * a[k] if k <= d else Fraction(0)
+        s.append(acc - sum(a[i] * s[k - i] for i in range(1, min(k - 1, d) + 1)))
+    return s
+
+
+def reference_charpoly(traces) -> RationalPolynomial:
+    c = [Fraction(1)]
+    for k in range(1, len(traces)):
+        c.append(-sum(c[k - i] * traces[i] for i in range(1, k + 1)) / k)
+    return RationalPolynomial(reversed(c))
+
+
+def reference_beta_squared(p: RationalPolynomial, qm: Fraction) -> RationalPolynomial:
+    """Roots beta^2, beta = alpha + qm/alpha, over Q: from s_k(alpha) and s_k(1/alpha)."""
+    d = p.degree
+    pos = reference_power_sums(p, 2 * d)
+    neg = reference_power_sums(p.reversed_coeffs().monic(), 2 * d)
+    traces = [d] + [
+        sum(math.comb(2 * j, i) * qm ** (2 * j - i)
+            * (pos[2 * (i - j)] if i >= j else neg[2 * (j - i)]) for i in range(2 * j + 1))
+        for j in range(1, d + 1)
+    ]
+    return reference_charpoly(traces)
+
+
+def reference_squarefree(f: RationalPolynomial) -> RationalPolynomial:
+    a, b = f, f.derivative()
+    while not b.is_zero:
+        a, b = b, a % b
+    return (f // a).monic()
+
+
+def reference_variations(f: RationalPolynomial, points) -> list[int]:
+    """Sign variations of the Fraction Sturm chain f, f', -rem, ... at -inf, points, +inf."""
+    chain = [f, f.derivative()]
+    while True:
+        r = -(chain[-2] % chain[-1])
+        if r.is_zero:
+            break
+        chain.append(r)
+
+    def variations(signs):
+        nz = [x for x in signs if x]
+        return sum(a != b for a, b in zip(nz, nz[1:]))
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    return (
+        [variations([sign(g.leading) * (-1) ** g.degree for g in chain])]
+        + [variations([sign(g(x)) for g in chain]) for x in points]
+        + [variations([sign(g.leading) for g in chain])]
+    )
+
+
+def reference_verify_weil(p_poly: RationalPolynomial, q: PrimePower):
+    """The weight, or (reason, message) of the NotWeil: the Fraction verifier, uncached."""
+    p, a, d = q.p, q.a, p_poly.degree
+
+    def p_part(n: int) -> tuple[int, int]:
+        k = 0
+        while n % p == 0:
+            n, k = n // p, k + 1
+        return n, k
+
+    for c in p_poly.coeffs:
+        if p_part(c.denominator)[0] != 1:
+            return ("denominator",
+                    f"coefficient denominator {c.denominator} is not a power of p = {p}")
+    const = p_poly.constant_term
+    (num, up), (den, down) = p_part(abs(const.numerator)), p_part(const.denominator)
+    if (num, den) != (1, 1):
+        return "constant-valuation", f"|P(0)| = {abs(const)} is not a power of p = {p}"
+    two_ord = 2 * (up - down)
+    if two_ord % (a * d):
+        return ("constant-valuation",
+                f"ord_q|P(0)| = {Fraction(two_ord, 2 * a)} is not m*{d}/2 for integral m")
+    m = two_ord // (a * d)
+    qm = Fraction(q.q) ** m
+    g = reference_squarefree(reference_beta_squared(p_poly, qm))
+    root_at_zero = 1 if g.constant_term == 0 else 0
+    at_neg_inf, at_zero, at_bound, at_pos_inf = reference_variations(g, (0, 4 * qm))
+    if at_neg_inf - at_pos_inf < g.degree:
+        return "not-totally-real", "beta is not totally real"
+    if at_neg_inf - at_zero - root_at_zero:
+        return "not-totally-real", "beta has imaginary embeddings"
+    if at_zero - at_bound + root_at_zero < g.degree:
+        return "root-bound", f"some |beta| exceeds 2*q^(m/2) for m = {m}"
+    return m
+
+
+def verdict(p_poly: RationalPolynomial, q: PrimePower):
+    try:
+        return verify_weil(p_poly, q)
+    except NotWeil as exc:
+        return exc.reason, str(exc)
+
+
+@st.composite
+def weil_candidates(draw):
+    """Weil-shaped polynomials, their near misses and twists, over small q."""
+    qq = draw(st.sampled_from((2, 3, 4, 5, 8, 9, 25, 27)))
+    q = PrimePower.from_q(qq)
+    qw = qq ** draw(st.integers(1, 3))
+    hasse = math.isqrt(4 * qw)
+
+    def elliptic():
+        return poly((qw, -draw(st.integers(-hasse - 2, hasse + 2)), 1))
+
+    kind = draw(st.sampled_from(
+        ("linear", "boundary", "supersingular", "elliptic", "product", "perturbed", "random")))
+    if kind == "linear":  # T -+ sqrt(q^w) when it is rational, else T -+ q^w
+        root = math.isqrt(qw)
+        p = poly((draw(st.sampled_from((1, -1))) * (root if root * root == qw else qw), 1))
+    elif kind == "boundary":  # beta = +-2 sqrt(q^w): beta^2 = 4 q^w exactly
+        p = poly((-qw, 0, 1))
+    elif kind == "supersingular":  # beta = 0
+        p = poly((qw, 0, 1))
+    elif kind == "elliptic":  # traces up to 2 past the Hasse bound
+        p = elliptic()
+    elif kind == "product":
+        p = elliptic() * elliptic()
+    elif kind == "perturbed":
+        p = elliptic() * elliptic()
+        coeffs = list(p.coeffs)
+        i = draw(st.integers(1, p.degree - 1))
+        coeffs[i] += draw(st.sampled_from((1, -1, q.p, -q.p, Fraction(1, q.p), Fraction(1, 7))))
+        p = poly(coeffs)
+    else:
+        degree = draw(st.integers(1, 5))
+        middle = [draw(st.integers(-qw, qw)) for _ in range(degree - 1)]
+        p = poly([draw(st.sampled_from((1, -1))) * qq ** draw(st.integers(0, degree))]
+                 + middle + [1])
+    # a Tate twist by r lowers the weight by 2r (to -1 and -3 from weight 1)
+    # and gives the coefficients p-power denominators
+    return p.scale_roots(Fraction(1, qq) ** draw(st.integers(0, 2))), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(weil_candidates())
+@example((poly((-2, 1)), PrimePower.from_q(4)))  # T - sqrt(q)
+@example((poly((2, 1)), PrimePower.from_q(4)))  # T + sqrt(q)
+@example((poly((Fraction(1, 2), Fraction(-1, 2), 1)), Q2))  # weight -1
+@example((poly((Fraction(1, 32), Fraction(-1, 8), 1)), Q2))  # weight -3
+@example((poly((2, 0, 1)), Q2))  # beta = 0
+@example((poly((-2, 0, 1)), Q2))  # beta^2 = 4q
+@example((poly((5, -5, 1)), Q5))  # the near miss of test_verify_near_miss_scaled_circle
+@example((poly((4, 0, -4, -4, 1)), Q2))
+@example((poly((Fraction(1, 3), 1)), Q2))
+def test_verify_matches_fraction_reference(case):
+    p_poly, q = case
+    assert verdict(p_poly, q) == reference_verify_weil(p_poly, q), case
+
+
+def test_verify_runs_once_per_orbit(monkeypatch):
+    calls = []
+    charpoly = weil_module.charpoly
+    monkeypatch.setattr(weil_module, "charpoly", lambda traces: calls.append(1) or charpoly(traces))
+    weil_module._weil_verdict.cache_clear()
+    p = poly((7, -3, 1))
+    assert verify_weil(p, PrimePower(7, 1)) == verify_weil(p, PrimePower(7, 1)) == 1
+    assert len(calls) == 1
+    assert weil_module._weil_verdict.cache_info().maxsize == 4096
+
+
+def test_cached_rejection_is_raised_fresh():
+    raised = []
+    for _ in range(2):
+        with pytest.raises(NotWeil) as exc:
+            verify_weil(poly((2, -3, 1)), Q2)
+        raised.append(exc.value)
+    first, second = raised
+    assert first is not second
+    assert (str(first), first.reason) == (str(second), second.reason)
+    assert first.reason == "root-bound"
+
+
+def test_precondition_errors_are_not_verdicts():
+    weil_module._weil_verdict.cache_clear()
+    for p, error in ((poly((1, 2)), NotMonic), (poly((3,)), NotMonic),
+                     (poly((0, 1)), ZeroConstantTerm), (poly((0, 5, 1)), ZeroConstantTerm)):
+        for _ in range(2):
+            with pytest.raises(error):
+                verify_weil(p, Q2)
+    assert weil_module._weil_verdict.cache_info().currsize == 0
 
 
 # ------------------------------------------------------------- effectivity
