@@ -1,10 +1,11 @@
 """Integer-list polynomials: products and remainders over Z, arithmetic mod p^k.
 
-Internal kernel for products, gcds, Sturm chains, discriminants and the CRT
-cofactors (``zx_``, over Z), and for Zassenhaus factorization, p-adic places
-and CRT lifting (``mp_``, reduced mod p or p^k).  Polynomials are dense
-``list[int]``, ascending, no trailing zeros.  ``zx_mul`` is the one
-multiplication loop; ``mp_mul`` reduces its output.
+Internal kernel for products, gcds, Sturm chains and the CRT cofactors
+(``zx_``, over Z), and for Zassenhaus factorization, p-adic places and CRT
+lifting (``mp_``, reduced mod p or p^k).  ``FiniteField`` is the arithmetic
+over F_q = F_p[t]/(m) that the residual polynomials of p-adic place analysis
+need.  Polynomials are dense ``list[int]``, ascending, no trailing zeros.
+``zx_mul`` is the one multiplication loop; ``mp_mul`` reduces its output.
 
 Equal-degree splitting uses Cantor-Zassenhaus with a seeded generator, so
 factorizations are deterministic across runs.
@@ -235,41 +236,226 @@ def mp_factor_squarefree(f: list[int], p: int) -> list[list[int]]:
     return factors
 
 
-def mp_coprime_parts(f: list[int], p: int) -> list[list[int]]:
-    """Pairwise-coprime monic parts g_i^(m_i) of f mod p, sorted.
+def mp_factor(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Irreducible monic factors of f mod p with their multiplicities, sorted.
 
-    The parts multiply to the monic reduction of f and are exactly the
-    maximal prime-power factors, so they Hensel-lift independently.
+    Squarefree decomposition over F_p (gcds with the derivative, and a p-th
+    root where the derivative vanishes), then each squarefree part split by
+    ``mp_factor_squarefree``.
     """
-    f = mp_monic(f, p)
-    # distinct irreducible factors via radical extraction
-    g = list(f)
-    distinct: list[list[int]] = []
-    while mp_degree(g) > 0:
-        d = mp_derivative(g, p)
-        if not d:
-            # g(T) = h(T^p) = h(T)^p over the prime field (a^p = a)
-            g = trim([g[i] for i in range(0, len(g), p)])
-            continue
-        w = mp_gcd(g, d, p)
-        sqf, _ = mp_divmod(g, w, p)
-        for irr in mp_factor_squarefree(sqf, p):
-            if irr not in distinct:
-                distinct.append(irr)
-        g = w
-    distinct.sort(key=lambda h: (len(h), tuple(reversed(h))))
-    parts = []
-    for irr in distinct:
-        part = [1]
-        h = f
+    out: list[tuple[list[int], int]] = []
+    for part, mult in _mp_squarefree_parts(mp_monic(mp_reduce(f, p), p), p):
+        out.extend((g, mult) for g in mp_factor_squarefree(part, p))
+    out.sort(key=lambda gm: (len(gm[0]), tuple(reversed(gm[0])), gm[1]))
+    return out
+
+
+def _mp_squarefree_parts(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """[(g_i, i)] with f = prod g_i^i over F_p, each g_i squarefree (f monic)."""
+    out = []
+    c = mp_gcd(f, mp_derivative(f, p), p)
+    w = mp_divmod(f, c, p)[0]
+    i = 1
+    while mp_degree(w) > 0:
+        y = mp_gcd(w, c, p)
+        fac = mp_divmod(w, y, p)[0]
+        if mp_degree(fac) > 0:
+            out.append((fac, i))
+        w, c, i = y, mp_divmod(c, y, p)[0], i + 1
+    if mp_degree(c) > 0:
+        # c(T) = h(T^p) = h(T)^p over the prime field (a^p = a)
+        root = [c[k] for k in range(0, len(c), p)]
+        out.extend((g, m * p) for g, m in _mp_squarefree_parts(root, p))
+    return out
+
+
+def mp_irreducible(degree: int, p: int) -> list[int]:
+    """The first monic irreducible polynomial of the given degree over F_p.
+
+    Candidates T^degree + c(T) are tried in the order of c read as a
+    base-p number, so the choice is deterministic.
+    """
+    for n in range(1, p ** degree):
+        f = [(n // p ** k) % p for k in range(degree)] + [1]
+        if f[0] and mp_factor(f, p) == [(f, 1)]:
+            return f
+    raise ValueError(f"no irreducible polynomial of degree {degree} over F_{p}")
+
+
+def mp_matrix_inverse(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Inverse of an invertible square matrix over F_p (Gauss-Jordan)."""
+    n = len(rows)
+    work = [[c % p for c in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if work[r][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = pow(work[col][col], -1, p)
+        work[col] = [c * inv % p for c in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                factor = work[r][col]
+                work[r] = [(a - factor * b) % p for a, b in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+class FiniteField:
+    """F_q = F_p[t]/(m) for a monic irreducible m over F_p, q = p^deg m.
+
+    Elements are ``list[int]`` polynomials in t (ascending, trimmed, degree
+    below deg m); polynomials over F_q are lists of elements, ascending,
+    with no trailing zero element.  This is the arithmetic the residual
+    polynomials of p-adic place analysis need: products, division, gcd,
+    and factorization with multiplicities.
+    """
+
+    def __init__(self, p: int, modulus: list[int]):
+        self.p, self.modulus = p, list(modulus)
+        self.degree = len(modulus) - 1
+        self.q = p ** self.degree
+
+    # ------------------------------------------------------------ elements
+
+    def add(self, a: list[int], b: list[int]) -> list[int]:
+        return mp_add(a, b, self.p)
+
+    def sub(self, a: list[int], b: list[int]) -> list[int]:
+        return mp_sub(a, b, self.p)
+
+    def mul(self, a: list[int], b: list[int]) -> list[int]:
+        return mp_mod(mp_mul(a, b, self.p), self.modulus, self.p)
+
+    def inv(self, a: list[int]) -> list[int]:
+        return mp_mod(mp_xgcd(a, self.modulus, self.p)[1], self.modulus, self.p)
+
+    def pow(self, a: list[int], e: int) -> list[int]:
+        if e < 0:
+            a, e = self.inv(a), -e
+        return mp_pow_mod(a, e, self.modulus, self.p)
+
+    # ------------------------------------------------------- polynomials
+
+    def _trim(self, f: list[list[int]]) -> list[list[int]]:
+        while f and not f[-1]:
+            f.pop()
+        return f
+
+    def poly_monic(self, f: list[list[int]]) -> list[list[int]]:
+        inv = self.inv(f[-1])
+        return [self.mul(c, inv) for c in f]
+
+    def poly_sub(self, f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
+        n = max(len(f), len(g))
+        return self._trim([self.sub(f[i] if i < len(f) else [], g[i] if i < len(g) else [])
+                           for i in range(n)])
+
+    def poly_mul(self, f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
+        """f * g: products summed over F_p[t], each coefficient reduced mod m once."""
+        if not f or not g:
+            return []
+        out: list[list[int]] = [[] for _ in range(len(f) + len(g) - 1)]
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g, i):
+                    if b:
+                        out[j] = mp_add(out[j], mp_mul(a, b, self.p), self.p)
+        return self._trim([mp_mod(c, self.modulus, self.p) for c in out])
+
+    def poly_divmod(self, f: list[list[int]], g: list[list[int]]):
+        dg = len(g) - 1
+        inv = self.inv(g[-1])
+        r = list(f)
+        q: list[list[int]] = [[] for _ in range(max(len(f) - dg, 0))]
+        for k in reversed(range(len(q))):
+            c = q[k] = self.mul(r.pop(), inv)
+            if c:
+                for j in range(dg):
+                    r[k + j] = self.sub(r[k + j], self.mul(c, g[j]))
+        return self._trim(q), self._trim(r)
+
+    def poly_gcd(self, f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
+        while g:
+            f, g = g, self.poly_divmod(f, g)[1]
+        return self.poly_monic(f)
+
+    def poly_pow_mod(self, f: list[list[int]], e: int, mod: list[list[int]]) -> list[list[int]]:
+        result: list[list[int]] = [[1]]
+        f = self.poly_divmod(f, mod)[1]
+        while e:
+            if e & 1:
+                result = self.poly_divmod(self.poly_mul(result, f), mod)[1]
+            f = self.poly_divmod(self.poly_mul(f, f), mod)[1]
+            e >>= 1
+        return result
+
+    def factor(self, f: list[list[int]]) -> list[tuple[list[list[int]], int]]:
+        """Monic irreducible factors of f over F_q with multiplicities, sorted."""
+        if self.degree == 1:
+            # F_p itself: elements are constants, use the integer kernels
+            ints = [c[0] if c else 0 for c in f]
+            return [([[c] if c else [] for c in g], m) for g, m in mp_factor(ints, self.p)]
+        out = []
+        for part, mult in self._squarefree_parts(self.poly_monic(f)):
+            out.extend((g, mult) for g in self._split(part))
+        out.sort(key=lambda gm: (len(gm[0]), [tuple(c) for c in reversed(gm[0])], gm[1]))
+        return out
+
+    def _squarefree_parts(self, f: list[list[int]]) -> list[tuple[list[list[int]], int]]:
+        """As ``_mp_squarefree_parts``, with p-th roots a^(q/p) in F_q."""
+        out = []
+        deriv = self._trim([mp_reduce([i * x for x in c], self.p) for i, c in enumerate(f)][1:])
+        c = self.poly_gcd(f, deriv) if deriv else f
+        w = self.poly_divmod(f, c)[0]
+        i = 1
+        while len(w) > 1:
+            y = self.poly_gcd(w, c)
+            fac = self.poly_divmod(w, y)[0]
+            if len(fac) > 1:
+                out.append((fac, i))
+            w, c, i = y, self.poly_divmod(c, y)[0], i + 1
+        if len(c) > 1:
+            root = [self.pow(c[k], self.q // self.p) for k in range(0, len(c), self.p)]
+            out.extend((g, m * self.p) for g, m in self._squarefree_parts(root))
+        return out
+
+    def _split(self, f: list[list[int]]) -> list[list[list[int]]]:
+        """Irreducible factors of a squarefree monic f: distinct- then equal-degree."""
+        y: list[list[int]] = [[], [1]]
+        h, rest, d, blocks = y, f, 0, []
+        while len(rest) - 1 >= 2 * (d + 1):
+            d += 1
+            h = self.poly_pow_mod(h, self.q, rest)
+            g = self.poly_gcd(self.poly_sub(h, y), rest)
+            if len(g) > 1:
+                blocks.append((g, d))
+                rest = self.poly_divmod(rest, g)[0]
+                h = self.poly_divmod(h, rest)[1]
+        if len(rest) > 1:
+            blocks.append((rest, len(rest) - 1))
+        rng = random.Random(0x5EED ^ (self.q * 1048583) ^ len(f))
+        return [g for block, d in blocks for g in self._equal_degree(block, d, rng)]
+
+    def _equal_degree(self, f, d: int, rng: random.Random) -> list[list[list[int]]]:
+        """Cantor-Zassenhaus splitting of f, all of whose factors have degree d."""
+        n = len(f) - 1
+        if n == d:
+            return [f]
         while True:
-            q, r = mp_divmod(h, irr, p)
-            if r:
-                break
-            h = q
-            part = mp_mul(part, irr, p)
-        parts.append(part)
-    return parts
+            a = self._trim([mp_reduce([rng.randrange(self.p) for _ in range(self.degree)], self.p)
+                            for _ in range(n)])
+            if len(a) < 2:
+                continue
+            if self.p == 2:
+                t = acc = a
+                for _ in range(self.degree * d - 1):
+                    t = self.poly_divmod(self.poly_mul(t, t), f)[1]
+                    acc = self.poly_sub(acc, t)  # char 2: minus is plus
+                g = self.poly_gcd(acc, f)
+            else:
+                b = self.poly_pow_mod(a, (self.q ** d - 1) // 2, f)
+                g = self.poly_gcd(self.poly_sub(b, [[1]]), f)
+            if 1 < len(g) < len(f):
+                return (self._equal_degree(g, d, rng)
+                        + self._equal_degree(self.poly_divmod(f, g)[0], d, rng))
 
 
 # ------------------------------------------------------------ Hensel lifting

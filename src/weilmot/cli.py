@@ -10,6 +10,7 @@ in one machine-readable object.  Exit codes: 0 success, 1 domain failure
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -372,7 +373,9 @@ def cmd_zeta_product(args) -> Report:
 
 # --------------------------------------------------------------------- main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="weilmot",
         description="Exact arithmetic invariants of zeta functions over finite fields.",
@@ -389,18 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
     p_verify.add_argument("--isogeny", action="store_true",
                           help="input is a JSON-lines isogeny-class file")
-    p_verify.set_defaults(handler=cmd_verify)
 
     p_aqalg = sub.add_parser("aqalg", help="the algebra A(X) of correspondences")
     add_common(p_aqalg)
     p_aqalg.add_argument("--n", type=int, default=None,
                          help="ambient weight (default: the variety dimension)")
-    p_aqalg.set_defaults(handler=cmd_aqalg)
 
     p_filt = sub.add_parser("filtration", help="coniveau/slope filtration table")
     add_common(p_filt)
     p_filt.add_argument("--r", default="0", help="filtration level (rational, e.g. 3/2)")
-    p_filt.set_defaults(handler=cmd_filtration)
 
     p_honda = sub.add_parser("honda", help="Honda-Tate data of one Weil polynomial")
     add_common(p_honda)
@@ -408,23 +408,28 @@ def build_parser() -> argparse.ArgumentParser:
                          help="take m-th roots (requires weight m)")
     p_honda.add_argument("--monic", action="store_true",
                          help="input coeffs are the monic charpoly, not the L-polynomial")
-    p_honda.set_defaults(handler=cmd_honda)
 
     p_idem = sub.add_parser("idempotents", help="Kunneth idempotent polynomials")
     add_common(p_idem)
-    p_idem.set_defaults(handler=cmd_idempotents)
 
     p_prod = sub.add_parser("zeta-product", help="Kunneth product of two zeta documents")
     add_common(p_prod)
-    p_prod.set_defaults(handler=cmd_zeta_product)
     return parser
 
 
+def _handler(command: str):
+    """The function behind a subcommand, looked up per call, not kept in the parser."""
+    return {
+        "verify": cmd_verify, "aqalg": cmd_aqalg, "filtration": cmd_filtration,
+        "honda": cmd_honda, "idempotents": cmd_idempotents,
+        "zeta-product": cmd_zeta_product,
+    }[command]
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        report = args.handler(args)
+        report = _handler(args.command)(args)
     except ParseError as exc:
         where = ""
         if exc.line is not None:

@@ -68,7 +68,11 @@ class NotIrreducible(WeilmotError):
 
 
 class PrecisionExhausted(WeilmotError):
-    """The p-adic place search could not certify a splitting within its budget."""
+    """A certified computation ran out of its precision budget.
+
+    Kept as public API.  ``padic_places`` no longer raises it: its Montes
+    analysis works on exact expansions and answers on every irreducible input.
+    """
 
 
 # ----------------------------------------------------------------------- weil

@@ -1,21 +1,19 @@
 """p-adic valuations, Newton polygons normalized to ord(q) = 1, and places.
 
 ``padic_places`` decomposes an irreducible integer polynomial into its
-p-adic places (slope, local degree) by first-order Newton polygon analysis:
-each polygon side carries a residual polynomial over F_p, and when every
-residual is squarefree the factorization type over Q_p can be read off side
-by side (one place of local degree d * deg(r) per irreducible residual
-factor r, where d is the slope denominator).  Inputs whose residuals are not
-squarefree are retried after a deterministic schedule of shifts T -> T + s;
-a successful shifted analysis is mapped back by matching local degrees
-against the original polygon, and the search gives up with
-PrecisionExhausted rather than ever guessing.  The working precision is
-set by ord_p(disc P), read off the integer remainder sequence of P and P'.
+p-adic places (slope, local degree) by the Okutsu-Montes (OM) algorithm:
+Newton polygons of higher order, built on MacLane's inductive valuations.
+Order 1 is Ore's first-order analysis (one side per slope, a residual
+polynomial over F_p per side); a residual factor that is repeated opens a
+further order with a new key polynomial and a residual polynomial over a
+larger residue field F_(p^k).  Every side is read off an exact phi-adic
+expansion in Z[x], so there is no working precision, and on every
+irreducible input the analysis ends with one (slope, e * f) per
+Q_p-irreducible factor.  Each answer is cached per (polynomial, q).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +22,6 @@ from . import _modp
 from .errors import (
     NotIrreducible,
     NotMonic,
-    PrecisionExhausted,
     RangeError,
     ZeroConstantTerm,
     ZeroInput,
@@ -32,9 +29,6 @@ from .errors import (
 from .exact_arith import is_irreducible
 from .poly import RationalPolynomial
 from .primes import PrimePower
-
-SHIFT_BUDGET = 24  # shifts T -> T + s tried before PrecisionExhausted
-
 
 def ord_int(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
@@ -142,220 +136,293 @@ def newton_polygon(p_poly: RationalPolynomial, q: PrimePower) -> NewtonPolygon:
 
 # ----------------------------------------------------------------- places
 #
-# The analysis works with block coefficients known mod p^N.  With
-# N > ord_p(disc P) + ord_p(P(0)), every quantity it reads -- polygon vertex
-# heights (bounded by the block's constant-term valuation), residual digits
-# on the hull, and quadratic discriminant valuations (bounded by the
-# discriminant of P) -- is determined exactly, so nothing is approximate.
-
-def _val_mod(x: int, p: int) -> int | None:
-    """Valuation of a residue; None when x = 0 (true valuation off-scale)."""
-    if x == 0:
-        return None
-    return ord_int(x, p)
-
-
-def _block_hull(coeffs: list[int], p: int):
-    points = []
-    for i, c in enumerate(coeffs):
-        v = _val_mod(c, p)
-        if v is not None:
-            points.append((i, Fraction(v)))
-    return _lower_hull(points)
-
-
-def _residual(coeffs: list[int], p: int, i0: int, u0: int, slope: Fraction, length: int) -> list[int]:
-    """Ore residual polynomial of one polygon side, over F_p."""
-    c, d = slope.numerator, slope.denominator
-    ell = length // d
-    out = []
-    for j in range(ell + 1):
-        idx = i0 + j * d
-        expected = u0 - j * c
-        a = coeffs[idx]
-        if a != 0 and ord_int(a, p) == expected:
-            out.append((a // p ** expected) % p)
-        else:
-            out.append(0)
-    return _modp.trim(out)
+# Montes' algorithm (Guardia, Montes & Nart, Trans. AMS 364, 2012), written
+# with MacLane's inductive valuations (Trans. AMS 40, 1936).  A chain
+# mu_0 < mu_1 < ... < mu_i starts at the Gauss valuation mu_0 and augments
+# mu_l = [mu_(l-1); phi_l, lam_l] with monic key polynomials phi_l in Z[x]:
+# for g = sum a_j phi_l^j (deg a_j < deg phi_l), mu_l(g) = min mu_(l-1)(a_j)
+# + j lam_l.  Values lie in (1/E_l) Z, E_l = e_1 ... e_l.  The residue field
+# kappa_(l+1) = kappa_l[Y]/psi_l of mu_l is an absolute F_p[t]/(m), and every
+# residue is taken after dividing by a standard monomial p^n0 phi_1^n1 ...
+# phi_l^nl (0 <= n_k < e_k for k >= 1) of the same value, so residues,
+# residual polynomials and lifts are exact and mutually consistent.
+#
+# Each side of slope -lam of the phi-polygon of f (points (j, mu_i(a_j)),
+# lam above the branch's threshold) carries a residual polynomial over
+# kappa_(i+1).  An irreducible factor psi of multiplicity 1 is one place of
+# local degree deg(phi) * e * deg(psi); a repeated factor either refines phi
+# at the same order (e = deg psi = 1) or opens order i + 2 with a key
+# polynomial whose residual polynomial is psi.  Every step works on exact
+# phi-adic expansions in Z[x], so no precision bound is needed, and on a
+# separable f the branches end.
 
 
-def _quadratic_places(coeffs: list[int], p: int, n_digits: int) -> list[tuple[Fraction, int]] | None:
-    """Places of a pure-slope monic quadratic block, decided by discriminant.
+@dataclass(frozen=True)
+class _Level:
+    """mu_i = [mu_(i-1); phi, lam] (i >= 1) or mu_0 (i = 0), with kappa_(i+1).
 
-    The block splits over Q_p iff b^2 - 4c is a square: valuation even and
-    unit part a square (Euler criterion; for p = 2, congruent to 1 mod 8).
+    ``field`` is kappa_(i+1) = kappa_i[Y]/psi_i; ``embed`` is the image there of
+    kappa_i's generator t and ``z`` the class of Y (psi_i of degree ``f``).
+    ``coords`` (when f > 1) is the inverse of the F_p-basis matrix of the
+    elements embed^a z^b, so it gives an element's coordinates over kappa_i.
+    ``step`` is the standard monomial of e * lam in mu_(i-1).
     """
-    c, b = coeffs[0], coeffs[1]
-    modulus = p ** n_digits
-    disc = (b * b - 4 * c) % modulus
-    v_disc = _val_mod(disc, p)
-    v_c = _val_mod(c, p)
-    if v_disc is None or v_c is None or v_c % 2 != 0:
-        return None  # not enough certified digits / not the pure integral case
-    slope = Fraction(v_c, 2)
-    unit = disc // p ** v_disc
-    if p == 2:
-        if n_digits - v_disc < 3:
-            return None
-        is_square = v_disc % 2 == 0 and unit % 8 == 1
+
+    phi: tuple[int, ...]
+    lam: Fraction
+    e: int
+    big_e: int
+    field: _modp.FiniteField
+    embed: list[int]
+    z: list[int]
+    f: int
+    coords: list[list[int]] | None
+    step: tuple[int, ...]
+
+
+def _expand(g: list[int], phi) -> list[list[int]]:
+    """The phi-adic digits of g (deg < deg phi), by division by the monic phi."""
+    digits, phi = [], list(phi)
+    while len(g) >= len(phi):
+        g, r = _modp.zx_pdivmod(g, phi)
+        digits.append(r)
+    digits.append(g)
+    return digits
+
+
+def _zx_add(f: list[int], g: list[int]) -> list[int]:
+    n = max(len(f), len(g))
+    return _modp.trim([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)
+                       for i in range(n)])
+
+
+def _zx_pow(f, e: int) -> list[int]:
+    out = [1]
+    for _ in range(e):
+        out = _modp.zx_mul(out, list(f))
+    return out
+
+
+def _mu(chain, i: int, a: list[int]) -> Fraction:
+    """mu_i(a) for nonzero a in Z[x]."""
+    if i == 0:
+        return Fraction(min(ord_int(c, chain[0].field.p) for c in a if c))
+    level = chain[i]
+    return min(_mu(chain, i - 1, b) + j * level.lam
+               for j, b in enumerate(_expand(a, level.phi)) if b)
+
+
+def _beta(gamma: Fraction, lam: Fraction, e: int, big_e: int) -> int:
+    """The 0 <= beta < e with gamma - beta * lam in (1/big_e) Z."""
+    if e == 1:
+        return 0
+    g, h = int(gamma * big_e * e), int(lam * big_e * e)
+    return g * pow(h, -1, e) % e
+
+
+def _monomial(chain, i: int, gamma: Fraction) -> tuple[int, ...]:
+    """Exponents (n_0, ..., n_i) of the standard monomial of value gamma in mu_i."""
+    if i == 0:
+        return (int(gamma),)
+    level = chain[i]
+    beta = _beta(gamma, level.lam, level.e, chain[i - 1].big_e)
+    return _monomial(chain, i - 1, gamma - beta * level.lam) + (beta,)
+
+
+def _shifted(exps, m: int, step, base) -> tuple[int, ...]:
+    return tuple(x + m * s - b for x, s, b in zip(exps, step, base))
+
+
+def _horner(field: _modp.FiniteField, c: list[int], x: list[int]) -> list[int]:
+    """c(x) in field, for c a polynomial over F_p."""
+    out: list[int] = []
+    for a in reversed(c):
+        out = field.add(field.mul(out, x), [a])
+    return out
+
+
+def _embed(level: _Level, c: list[int]) -> list[int]:
+    """The image in kappa_(i+1) of c in kappa_i."""
+    return c if level.f == 1 else _horner(level.field, c, level.embed)
+
+
+def _unit(chain, i: int, exps) -> list[int]:
+    """Residue in kappa_(i+1) of the value-0 monomial with exponents exps."""
+    if i == 0:
+        return [1]
+    level = chain[i]
+    k = exps[i] // level.e
+    prev = tuple(x + k * s for x, s in zip(exps[:i], level.step))
+    return level.field.mul(_embed(level, _unit(chain, i - 1, prev)), level.field.pow(level.z, k))
+
+
+def _residual(chain, i: int, digits, values, lam: Fraction, e: int) -> list[list[int]]:
+    """Residue over kappa_(i+1) of g / M(gamma) in [mu_i; phi, lam], as a list in Y.
+
+    g = sum digits[j] phi^j with mu_i(digits[j]) = values[j]; gamma is the
+    augmented value of g and M(gamma) its standard monomial.
+    """
+    gamma = min(u + j * lam for j, u in enumerate(values) if u is not None)
+    beta = _beta(gamma, lam, e, chain[i].big_e)
+    base = _monomial(chain, i, gamma - beta * lam)
+    step = _monomial(chain, i, e * lam)
+    field = chain[i].field
+    out: list[list[int]] = []
+    for j, u in enumerate(values):
+        if u is None or u + j * lam != gamma:
+            continue
+        m = (j - beta) // e
+        unit = _unit(chain, i, _shifted(_monomial(chain, i, u), m, step, base))
+        out.extend([] for _ in range(m + 1 - len(out)))
+        out[m] = field.mul(_red(chain, i, digits[j]), unit)
+    return out
+
+
+def _red(chain, i: int, a: list[int]) -> list[int]:
+    """Residue in kappa_(i+1) of a / M(mu_i(a)), for nonzero a of degree < deg phi_(i+1)."""
+    if i == 0:
+        p = chain[0].field.p
+        v = min(ord_int(c, p) for c in a if c)
+        return _modp.mp_reduce([c // p ** v for c in a], p)
+    level = chain[i]
+    digits = _expand(a, level.phi)
+    values = [_mu(chain, i - 1, b) if b else None for b in digits]
+    out: list[int] = []
+    for c in reversed(_residual(chain, i - 1, digits, values, level.lam, level.e)):
+        out = level.field.add(level.field.mul(out, level.z), _embed(level, c))
+    return out
+
+
+def _lift(chain, i: int, delta: Fraction, zeta: list[int]) -> list[int]:
+    """a in Z[x] of degree < deg phi_(i+1) with mu_i(a) = delta and residue zeta."""
+    if i == 0:
+        return [c * chain[0].field.p ** int(delta) for c in zeta]
+    level = chain[i]
+    beta = _beta(delta, level.lam, level.e, chain[i - 1].big_e)
+    base = _monomial(chain, i - 1, delta - beta * level.lam)
+    below = chain[i - 1].field
+    if level.coords is None:
+        parts = [zeta]
     else:
-        is_square = v_disc % 2 == 0 and pow(unit, (p - 1) // 2, p) == 1
-    if is_square:
-        return [(slope, 1), (slope, 1)]
-    return [(slope, 2)]
+        n, k = len(level.coords), below.degree
+        vec = zeta + [0] * (n - len(zeta))
+        flat = [sum(r * x for r, x in zip(row, vec)) % below.p for row in level.coords]
+        parts = [_modp.trim(flat[b * k:(b + 1) * k]) for b in range(level.f)]
+    out: list[int] = []
+    for m, c in enumerate(parts):
+        if not c:
+            continue
+        u = delta - (beta + level.e * m) * level.lam
+        unit = _unit(chain, i - 1, _shifted(_monomial(chain, i - 1, u), m, level.step, base))
+        digit = _lift(chain, i - 1, u, below.mul(c, below.inv(unit)))
+        out = _zx_add(out, _modp.zx_mul(digit, _zx_pow(level.phi, beta + level.e * m)))
+    return out
 
 
-def _analyze_block(coeffs: list[int], p: int, n_digits: int) -> list[tuple[Fraction, int]] | None:
-    """Place data of one monic block known mod p^n_digits, or None.
+def _key_polynomial(chain, i: int, phi, lam: Fraction, e: int, psi) -> list[int]:
+    """Monic phi' = sum A_m phi^(e m) whose residual polynomial in [mu_i; phi, lam] is c * psi."""
+    field = chain[i].field
+    top = len(psi) - 1
+    step = _monomial(chain, i, e * lam)
+    base = _monomial(chain, i, top * e * lam)
 
-    Splits along the pairwise-coprime parts of the reduction mod p (Hensel),
-    then reads each remaining block off its Newton polygon: squarefree
-    residuals certify the side (Ore's theorem, one place of local degree
-    d * deg r per irreducible residual factor r), and pure-slope quadratic
-    blocks with repeated residuals are settled by the discriminant test.
-    """
-    degree = len(coeffs) - 1
-    if degree == 1:
-        v = _val_mod(coeffs[0], p)
-        return None if v is None else [(Fraction(v), 1)]
-    parts = _modp.mp_coprime_parts(coeffs, p)
-    if len(parts) >= 2:
-        out: list[tuple[Fraction, int]] = []
-        for block in _modp.hensel_lift_many(coeffs, parts, p, n_digits):
-            sub = _analyze_block(block, p, n_digits)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return out
-    # single prime-power reduction g^m
-    if _modp.mp_is_squarefree(parts[0], p):
-        return [(Fraction(0), degree)]  # irreducible reduction: unramified
-    hull = _block_hull(coeffs, p)
-    out = []
-    irregular_sides = 0
+    def tau(m: int) -> list[int]:
+        return _unit(chain, i, _shifted(_monomial(chain, i, (top - m) * e * lam), m, step, base))
+
+    lead = tau(top)
+    out = _zx_pow(phi, e * top)
+    for m in range(top):
+        if psi[m]:
+            target = field.mul(field.mul(lead, psi[m]), field.inv(tau(m)))
+            digit = _lift(chain, i, (top - m) * e * lam, target)
+            out = _zx_add(out, _modp.zx_mul(digit, _zx_pow(phi, e * m)))
+    return out
+
+
+def _root(field: _modp.FiniteField, poly_over: list[list[int]]) -> list[int]:
+    """One root in field of a polynomial over it that has one."""
+    linear = next(g for g, _ in field.factor(poly_over) if len(g) == 2)
+    return field.sub([], linear[0])
+
+
+def _augment(chain, i: int, phi, lam: Fraction, e: int, psi) -> _Level:
+    """Level i + 1 = [mu_i; phi, lam] with kappa_(i+2) = kappa_(i+1)[Y]/psi."""
+    below, f = chain[i].field, len(psi) - 1
+    step = _monomial(chain, i, e * lam)
+    if f == 1:
+        return _Level(tuple(phi), lam, e, chain[i].big_e * e, below, [0, 1],
+                      below.sub([], psi[0]), 1, None, step)
+    field = _modp.FiniteField(below.p, _modp.mp_irreducible(below.degree * f, below.p))
+    embed = _root(field, [[c] if c else [] for c in below.modulus])
+    z = _root(field, [_horner(field, c, embed) for c in psi])
+    n = field.degree
+    columns = []
+    for b in range(f):
+        zb = field.pow(z, b)
+        for a in range(below.degree):
+            col = field.mul(field.pow(embed, a), zb)
+            columns.append(col + [0] * (n - len(col)))
+    rows = [[columns[c][r] for c in range(n)] for r in range(n)]
+    return _Level(tuple(phi), lam, e, chain[i].big_e * e, field, embed, z, f,
+                  _modp.mp_matrix_inverse(rows, below.p), step)
+
+
+def _branch(f: list[int], chain, phi, lower: Fraction, slope, out: list) -> None:
+    """Places of f whose roots theta have v(phi(theta)) > lower, for phi of order len(chain)."""
+    i = len(chain) - 1
+    digits = _expand(f, phi)
+    values = [_mu(chain, i, a) if a else None for a in digits]
+    hull = _lower_hull([(j, u) for j, u in enumerate(values) if u is not None])
+    field = chain[i].field
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(int(y1 - y2), x2 - x1)
-        residual = _residual(coeffs, p, x1, int(y1), slope, x2 - x1)
-        if _modp.mp_is_squarefree(residual, p):
-            monic_res = _modp.mp_monic(residual, p)
-            for r in _modp.mp_factor_squarefree(monic_res, p):
-                out.append((slope, slope.denominator * _modp.mp_degree(r)))
-        else:
-            irregular_sides += 1
-    if irregular_sides == 0:
-        return out
-    if degree == 2 and len(hull) == 2:
-        return _quadratic_places(coeffs, p, n_digits)
-    return None
+        lam = (y1 - y2) / (x2 - x1)
+        if lam <= lower:
+            break
+        e = (lam * chain[i].big_e).denominator
+        residual = _residual(chain, i, digits, values, lam, e)
+        residual = residual[next(k for k, c in enumerate(residual) if c):]
+        root_slope = lam if slope is None else slope
+        for psi, mult in field.factor(residual):
+            if mult == 1:
+                out.append((root_slope, (len(phi) - 1) * e * (len(psi) - 1)))
+            elif e == 1 and len(psi) == 2:
+                refined = _key_polynomial(chain, i, phi, lam, 1, psi)
+                _branch(f, chain, refined, lam, root_slope, out)
+            else:
+                level = _augment(chain, i, phi, lam, e, psi)
+                key = _key_polynomial(chain, i, phi, lam, e, psi)
+                _branch(f, chain + (level,), key, e * (len(psi) - 1) * lam, root_slope, out)
 
 
-def _shift_schedule(p: int) -> list[int]:
-    shifts = [0]
-    for k in (0, 1, 2, 3):
-        base = p ** k
-        for t in (1, 2, 3, 4):
-            for s in (t * base, -t * base):
-                if s not in shifts:
-                    shifts.append(s)
-    return shifts[:SHIFT_BUDGET]
+def _analyze_block(coeffs: list[int], p: int) -> list[tuple[Fraction, int]]:
+    """(root valuation in ord_p units, local degree) of each place of monic squarefree f.
 
-
-def _match_degrees(
-    degrees: list[int], slope_counts: dict[Fraction, int]
-) -> list[tuple[Fraction, int]] | None:
-    """Assign place degrees to original polygon slopes; None unless unique.
-
-    Each place occupies `degree` equal-slope slots and its slope denominator
-    must divide its degree.  Returns the unique resulting multiset of
-    (slope, degree) pairs, or None when zero or several are consistent.
+    One order-1 analysis per irreducible factor psi_0 of f mod p: a simple
+    factor is one unramified place, a repeated one is followed through the
+    phi-polygons of its branch.  The root valuation is the order-1 slope on
+    phi = x and 0 for psi_0 != x; higher orders refine e and f only.
     """
-    degrees = sorted(degrees, reverse=True)
-    slopes = sorted(slope_counts)
-    results: set[tuple[tuple[Fraction, int], ...]] = set()
-
-    def walk(idx: int, remaining: dict[Fraction, int], acc: list[tuple[Fraction, int]]):
-        if len(results) > 1:
-            return
-        if idx == len(degrees):
-            results.add(tuple(sorted(acc)))
-            return
-        deg = degrees[idx]
-        tried = set()
-        for s in slopes:
-            if s in tried:
-                continue
-            tried.add(s)
-            if remaining[s] >= deg and deg % s.denominator == 0:
-                remaining[s] -= deg
-                acc.append((s, deg))
-                walk(idx + 1, remaining, acc)
-                acc.pop()
-                remaining[s] += deg
-        return
-
-    walk(0, dict(slope_counts), [])
-    if len(results) != 1:
-        return None
-    return list(results.pop())
-
-
-def _discriminant_valuation(p_poly: RationalPolynomial, p: int) -> int:
-    """ord_p of disc(P) = +-Res(P, P') for monic integral squarefree P.
-
-    Summed along the remainder sequence: |lc B|^e A = Q B + k C with
-    e = dA - dB + 1 and C primitive gives Res(B, A) = +-lc(B)^(dA - dC - e dB)
-    k^dB Res(B, C).
-    """
-    a = [int(c) for c in p_poly.coeffs]
-    b = [i * c for i, c in enumerate(a)][1:]
-    v = 0
-    while len(b) > 1:
-        r = _modp.zx_pdivmod(a, b)[1]
-        k = math.gcd(*r)
-        c = [x // k for x in r]
-        v += ((len(a) - len(c) - (len(a) - len(b) + 1) * (len(b) - 1)) * ord_int(b[-1], p)
-              + (len(b) - 1) * ord_int(k, p))
-        a, b = b, c
-    return v + (len(a) - 1) * ord_int(b[0], p)
+    out: list[tuple[Fraction, int]] = []
+    for psi0, mult in _modp.mp_factor(coeffs, p):
+        on_x = psi0 == [0, 1]
+        if mult == 1:
+            out.append((Fraction(ord_int(coeffs[0], p)) if on_x else Fraction(0), len(psi0) - 1))
+            continue
+        root = _Level((), Fraction(0), 1, 1, _modp.FiniteField(p, psi0), [], [], 1, None, ())
+        _branch(coeffs, (root,), psi0, Fraction(0), None if on_x else Fraction(0), out)
+    return sorted(out)
 
 
 @lru_cache(maxsize=4096)
 def _places_cached(p_poly: RationalPolynomial, q: PrimePower) -> tuple[PlaceData, ...]:
-    p, a = q.p, q.a
     if p_poly.degree == 1:
-        slope = Fraction(ord_frac(-p_poly.constant_term, p), a)
+        slope = Fraction(ord_frac(-p_poly.constant_term, q.p), q.a)
         return (PlaceData(slope=slope, local_degree=1, place_id=0),)
-
-    coeffs = [int(c) for c in p_poly.coeffs]
-    original_counts: dict[Fraction, int] = {}
-    for s, m in _polygon_ord_p([Fraction(c) for c in coeffs], p):
-        original_counts[s] = original_counts.get(s, 0) + m
-    disc_val = _discriminant_valuation(p_poly, p)
-
-    for shift in _shift_schedule(p):
-        shifted = p_poly.shift(shift) if shift else p_poly
-        n_digits = disc_val + ord_int(int(shifted.constant_term), p) + 8
-        modulus = p ** n_digits
-        attempt = _analyze_block(
-            [int(c) % modulus for c in shifted.coeffs], p, n_digits
-        )
-        if attempt is None:
-            continue
-        if shift == 0:
-            places_p = attempt
-        else:
-            matched = _match_degrees([d for _, d in attempt], original_counts)
-            if matched is None:
-                continue
-            places_p = matched
-        places = sorted((s / a, d) for s, d in places_p)
-        return tuple(
-            PlaceData(slope=s, local_degree=d, place_id=i)
-            for i, (s, d) in enumerate(places)
-        )
-    raise PrecisionExhausted(
-        f"could not certify the place decomposition of {p_poly} at p = {p}"
+    if not is_irreducible(p_poly):
+        raise NotIrreducible(f"{p_poly} is not irreducible over Q")
+    places = [(s / q.a, d) for s, d in _analyze_block([int(c) for c in p_poly.coeffs], q.p)]
+    return tuple(
+        PlaceData(slope=s, local_degree=d, place_id=i) for i, (s, d) in enumerate(places)
     )
 
 
@@ -363,11 +430,11 @@ def padic_places(p_poly: RationalPolynomial, q: PrimePower) -> list[PlaceData]:
     """Places v | p of the field cut out by an irreducible integer polynomial.
 
     Returns one PlaceData per Q_p-irreducible factor, slopes normalized so
-    ord(q) = 1, place ids stable under (slope, local_degree) ordering.
-    Blocks that stay entangled past the certified analysis (Hensel splitting
-    by coprime reductions, per-side residuals, quadratic discriminants, and
-    the shift schedule) raise PrecisionExhausted: failures surface, nothing
-    is approximated.
+    ord(q) = 1, place ids stable under (slope, local_degree) ordering.  The
+    decomposition comes from Montes' higher-order Newton polygons and is
+    exact on every irreducible input; it is computed once per (P, q) and
+    cached (``lru_cache``, 4096 entries), together with the irreducibility
+    check, so only a reducible input (NotIrreducible) is examined again.
     """
     if not p_poly.is_monic:
         raise NotMonic("padic_places requires a monic polynomial")
@@ -375,6 +442,4 @@ def padic_places(p_poly: RationalPolynomial, q: PrimePower) -> list[PlaceData]:
         raise ZeroConstantTerm("P(0) = 0 has no place decomposition")
     if not p_poly.is_integral():
         raise RangeError("padic_places requires integer coefficients")
-    if p_poly.degree != 1 and not is_irreducible(p_poly):
-        raise NotIrreducible(f"{p_poly} is not irreducible over Q")
     return list(_places_cached(p_poly, q))

@@ -8,8 +8,10 @@ from datetime import timedelta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from conftest import DATA_DIR
-from weilmot.cli import main
+from weilmot.cli import build_parser, main
 
 ELLIPTIC_DOC = (
     '{"q": 2, "p": 2, "n": 1, "l_polynomials": [[1, -1], [1, -1, 2], [1, -2]]}'
@@ -282,3 +284,23 @@ def test_verify_isogeny_json_fuzz(lines):
         sys.stdin, sys.stdout, sys.stderr = saved
     assert code in (0, 1, 2)
     assert isinstance(json.loads(out.getvalue()), dict)
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    # One parser serves every in-process call: an argparse exit leaves it
+    # usable, and later calls print what each prints on a fresh parser.
+    product = run_cli(["zeta-product"], f"[{ELLIPTIC_DOC}, {ELLIPTIC_DOC}]", capsys, monkeypatch)[1]
+    calls = [(["verify", "--json"], ELLIPTIC_DOC), (["aqalg", "--json"], product),
+             (["idempotents", "--json"], ELLIPTIC_DOC)]
+    alone = []
+    for argv, text in calls:
+        build_parser.cache_clear()
+        alone.append(run_cli(argv, text, capsys, monkeypatch)[:2])
+    build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--no-such-flag"], ELLIPTIC_DOC, capsys, monkeypatch)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    together = [run_cli(argv, text, capsys, monkeypatch)[:2] for argv, text in calls]
+    assert together == alone and [code for code, _ in alone] == [0, 0, 0]
+    assert build_parser.cache_info().misses == 1

@@ -1,5 +1,6 @@
 """endalg: Brauer blocks, A(X), ranks, Witt-vector ranks, Honda-Tate data."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from weilmot import (
     zeta_point,
     zeta_product,
 )
+from weilmot import padic
 from weilmot.motives import ZetaData, motive_of
 from weilmot.poly import poly
 
@@ -138,6 +140,45 @@ def test_compute_A_supersingular_square_is_zero():
         assert a.is_zero and a.dimension_q == 0
         assert rank_from_algebra(a) == 0
         assert witt_vector_rank(square) == 0
+
+
+def _timed_compute_A(z):
+    padic._places_cached.cache_clear()  # time the place analysis, not a cache hit
+    start = time.perf_counter()
+    a = compute_A(z)
+    return a, time.perf_counter() - start
+
+
+def test_compute_A_product_of_genus2_curves():
+    # C1 (L = 1 + T + 3T^2 + 3T^3 + 9T^4, p-rank 1) times C2 (ordinary) over
+    # F_3: the degree-16 weight-2 orbit has slopes 0, 1/2, 1, 3/2, 2, and
+    # first-order analysis could not certify its places under any shift.
+    c1 = zeta_from_curve(poly((1, 1, 3, 3, 9)), Q3)
+    c2 = zeta_from_curve(poly((1, 2, 4, 6, 9)), Q3)
+    a, seconds = _timed_compute_A(zeta_product(c1, c2))
+    [block] = [b for b in a.blocks if b.orbit_size == 16]
+    assert sorted(p.local_degree for p, _ in block.finite_invariants) == [2, 2, 2, 2, 4, 4]
+    # q = p: every invariant slope * local degree is an integer
+    assert all(inv == 0 for b in a.blocks for _, inv in b.finite_invariants)
+    assert all(b.invariant_sum.denominator == 1 for b in a.blocks)  # Brauer reciprocity
+    assert seconds < 1
+
+
+def test_compute_A_elliptic_product_over_f16():
+    # E: L = 1 - T + 16T^2 and E': L = 1 - 7T + 16T^2 are ordinary over F_16,
+    # so their unit roots lie in Q_2 and so does every product of roots: the
+    # orbit T^4 - 7T^3 + 288T^2 - 1792T + 65536 has four places of degree 1.
+    q16 = PrimePower(2, 4)
+    e1 = zeta_from_curve(poly((1, -1, 16)), q16)
+    e2 = zeta_from_curve(poly((1, -7, 16)), q16)
+    a, seconds = _timed_compute_A(zeta_product(e1, e2))
+    [block] = [b for b in a.blocks if b.center_poly == poly((65536, -1792, 288, -7, 1))]
+    assert [(p.slope, p.local_degree) for p, _ in block.finite_invariants] == [
+        (Fraction(0), 1), (Fraction(1), 1), (Fraction(1), 1), (Fraction(2), 1),
+    ]
+    assert block.invariant_sum.denominator == 1 and block.index_e == 1
+    assert all(b.invariant_sum.denominator == 1 for b in a.blocks)
+    assert seconds < 1
 
 
 def test_compute_A_depends_only_on_middle_weight():

@@ -129,6 +129,60 @@ def test_mp_mul_reduces_the_integer_product(f, g, m):
     assert _modp.mp_mul(f, g, m) == _modp.trim([c % m for c in _modp.zx_mul(f, g)])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 12), min_size=2, max_size=9), st.sampled_from([2, 3, 5, 7]))
+def test_mp_factor_matches_sympy(low, p):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    f = low + [1]
+    _, expect = galoistools.gf_factor([c % p for c in reversed(f)], p, ZZ)
+    expect = sorted(([int(c) for c in reversed(g)], m) for g, m in expect)
+    got = _modp.mp_factor(f, p)
+    assert sorted(got) == expect
+    assert got == sorted(got, key=lambda gm: (len(gm[0]), tuple(reversed(gm[0])), gm[1]))
+
+
+def _field_elements(ff):
+    for n in range(ff.q):
+        yield _modp.trim([(n // ff.p ** k) % ff.p for k in range(ff.degree)])
+
+
+def _monic_polys(ff, degree):
+    """Every monic polynomial of the given degree over ff."""
+    polys = [[]]
+    for _ in range(degree):
+        polys = [f + [c] for f in polys for c in _field_elements(ff)]
+    return [f + [[1]] for f in polys]
+
+
+@pytest.mark.parametrize("p, modulus", [(2, [1, 1, 1]), (2, [1, 1, 0, 1]), (3, [1, 0, 1])])
+def test_finite_field_factor_by_brute_force(p, modulus):
+    # F_4, F_8 and F_9: the factors multiply back to the input, are pairwise
+    # distinct, and have no monic divisor of degree 1 .. deg / 2 over F_q.
+    import random
+
+    ff = _modp.FiniteField(p, modulus)
+    rng = random.Random(p * 31 + len(modulus))
+    elements = list(_field_elements(ff))
+    small = {d: _monic_polys(ff, d) for d in (1, 2)}
+    for _ in range(25):
+        f = [[1]]
+        for _ in range(rng.randint(1, 4)):
+            g = [rng.choice(elements) for _ in range(rng.randint(1, 3))] + [[1]]
+            f = ff.poly_mul(f, ff.poly_mul(g, g) if rng.random() < 0.3 else g)
+        factors = ff.factor(f)
+        back = [[1]]
+        for g, m in factors:
+            for _ in range(m):
+                back = ff.poly_mul(back, g)
+        assert back == f
+        assert len({tuple(map(tuple, g)) for g, _ in factors}) == len(factors)
+        for g, _ in factors:
+            for d in range(1, (len(g) - 1) // 2 + 1):
+                assert all(ff.poly_divmod(g, h)[1] for h in small[d]), (g, d)
+
+
 @settings(max_examples=80, deadline=None)
 @given(int_polys, int_polys.filter(bool))
 @example([1, 2, 3, 4], [5, 0, -3])    # negative leading coefficient

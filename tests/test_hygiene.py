@@ -14,6 +14,9 @@ read here, never edited.
 The library is exact: no module in `src/weilmot` has a float literal, a
 ``float(...)`` call or a use of ``math.sqrt``, ``math.log``, ``math.exp`` or
 ``math.pow``; bounds such as sqrt(n/2) are taken with ``math.isqrt``.
+
+`padic` answers on every irreducible input: it neither imports nor raises
+``PrecisionExhausted``, which stays exported as public API only.
 """
 
 import ast
@@ -191,3 +194,33 @@ def test_detector_flags_floats():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"src/{p.name}")
 def test_no_floats_in_the_library(path):
     assert float_uses(path.read_text()) == []
+
+
+def give_up_uses(source: str, name: str = "PrecisionExhausted") -> list[str]:
+    """Lines that import name, raise it, or raise anything spelled ``x.name``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.rpartition(".")[2] == name for alias in node.names):
+                found.append(f"line {node.lineno}: import {name}")
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if ((isinstance(exc, ast.Name) and exc.id == name)
+                    or (isinstance(exc, ast.Attribute) and exc.attr == name)):
+                found.append(f"line {node.lineno}: raise {name}")
+    return found
+
+
+def test_detector_flags_a_give_up():
+    src = ("from .errors import NotMonic, PrecisionExhausted\nimport errors\n"
+           "def f():\n    raise PrecisionExhausted('x')\n"
+           "def g():\n    raise errors.PrecisionExhausted\n"
+           "def h():\n    raise NotMonic('fine')\n")
+    assert give_up_uses(src) == [
+        "line 1: import PrecisionExhausted", "line 4: raise PrecisionExhausted",
+        "line 6: raise PrecisionExhausted",
+    ]
+
+
+def test_padic_never_gives_up():
+    assert give_up_uses((ROOT / "src" / "weilmot" / "padic.py").read_text()) == []

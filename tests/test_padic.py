@@ -1,8 +1,12 @@
 """padic: valuations, Newton polygons, and place decompositions."""
 
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilmot import (
     NotIrreducible,
@@ -13,7 +17,10 @@ from weilmot import (
     ord_q,
     padic_places,
 )
+from weilmot.exact_arith import is_irreducible
 from weilmot.poly import poly
+
+PINNED = pathlib.Path(__file__).resolve().parent / "padic_pinned_places.json"
 
 Q2 = PrimePower(2, 1)
 Q4 = PrimePower(2, 2)
@@ -83,12 +90,13 @@ def test_places_examples():
     assert [(p.slope, p.local_degree) for p in pl3] == [(Fraction(0), 1)]
 
 
-def test_places_need_shift_cases():
-    # Supersingular elliptic over F_9 (a = 3): the shift-0 residual is a
-    # square; the schedule resolves it to one ramified place of degree 2.
+def test_places_with_repeated_order1_residual():
+    # Supersingular elliptic over F_9 (a = 3): T^2 - 3T + 9 has one slope-1
+    # side at p = 3 whose residual y^2 - y + 1 = (y + 1)^2 is a square mod 3.
+    # The next order settles it: one ramified place of degree 2.
     pl = padic_places(poly((9, -3, 1)), Q9)
     assert [(p.slope, p.local_degree) for p in pl] == [(Fraction(1, 2), 2)]
-    # a = 0 over F_4: same story at p = 2.
+    # a = 0 over F_4: T^2 + 4 has residual y^2 + 1 = (y + 1)^2 mod 2.
     pl2 = padic_places(poly((4, 0, 1)), Q4)
     assert [(p.slope, p.local_degree) for p in pl2] == [(Fraction(1, 2), 2)]
 
@@ -126,14 +134,105 @@ def test_places_split_unit_block():
     ]
 
 
-def test_places_surface_precision_exhausted():
-    # T^4 + 6T^2 + 36 at p = 3: every shift in the schedule leaves a squared
-    # residual (not a Weil polynomial for any prime power; the first-order
-    # analysis cannot certify it).  The failure must surface, not approximate.
-    from weilmot import PrecisionExhausted
+def test_places_surface_certified():
+    # T^4 + 6T^2 + 36 at p = 3, which first-order analysis did not settle
+    # under any of its 24 shifts T -> T + s.  By hand: T^2 = 6w with w a primitive cube root
+    # of unity, and 6w = (sqrt(-3))^2 * (-2w) with -2w = 1 mod sqrt(-3), a
+    # square in Q_3(sqrt(-3)).  All four roots lie in that ramified quadratic
+    # field, so there are two places of degree 2, both with v(T) = 1/2.
+    pl = padic_places(poly((36, 0, 6, 0, 1)), PrimePower(3, 1))
+    assert [(p.slope, p.local_degree) for p in pl] == [
+        (Fraction(1, 2), 2), (Fraction(1, 2), 2),
+    ]
 
-    with pytest.raises(PrecisionExhausted):
-        padic_places(poly((36, 0, 6, 0, 1)), PrimePower(3, 1))
+
+def test_places_reproduce_pinned_answers():
+    # Every orbit of the pairwise zeta products of the curves in data/*.jsonl
+    # that first-order analysis with up to 24 shifts T -> T + s certified,
+    # with that analysis's answers; "attempts" > 1 marks the orbits that
+    # needed a shift.
+    rows = json.loads(PINNED.read_text())
+    assert len(rows) >= 200 and sum(r["attempts"] > 1 for r in rows) >= 30
+    for row in rows:
+        places = padic_places(poly(row["coeffs"]), PrimePower(row["p"], row["a"]))
+        assert [[str(p.slope), p.local_degree] for p in places] == row["places"], row
+
+
+def _krasner_perturbation(g, h, p: int, k):
+    """g*h + p^N*k with N = deg(gh) * v_p(disc(gh)) + 1, past Krasner's bound.
+
+    Every root a of f = g*h + p^N k has v(f(a) - g*h(a)) >= N, so some root
+    b of g*h lies within N / deg of it, closer than any other root of g*h
+    (two roots of g*h differ by at most v_p(disc)); by Krasner's lemma the
+    fields match, so f has the places of g and of h together.
+    """
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    gh = sympy.expand(g * h)
+    n = sympy.degree(gh, x)
+    bound = n * sympy.multiplicity(p, sympy.discriminant(gh, x)) + 1
+    f = poly([int(c) for c in reversed(sympy.Poly(gh + p ** bound * k, x).all_coeffs())])
+    assert is_irreducible(f)
+    return f
+
+
+def test_places_labelled_by_construction():
+    x = pytest.importorskip("sympy").Symbol("x")
+    # Irreducible reduction T^2 + T + 1 (unramified, degree 2) times an
+    # Eisenstein cubic at 2 (totally ramified, v = 1/3).
+    f = _krasner_perturbation(x**2 + x + 1, x**3 - 2, 2, x + 1)
+    assert [(p.slope, p.local_degree) for p in padic_places(f, Q2)] == [
+        (Fraction(0), 2), (Fraction(1, 3), 3),
+    ]
+    # Two Eisenstein quadratics at 3 with the same residue: x^2 - 3 and
+    # x^2 - 12 give the order-1 residual (y - 1)^2, which is not squarefree.
+    f = _krasner_perturbation(x**2 - 3, x**2 - 12, 3, x + 1)
+    assert [(p.slope, p.local_degree) for p in padic_places(f, PrimePower(3, 1))] == [
+        (Fraction(1, 2), 2), (Fraction(1, 2), 2),
+    ]
+    # g = 4 F(x^2 / 2) for F = y^2 + y + 1: x^2 = 2w, w a unit of the
+    # unramified quadratic extension, so e = f = 2 and one place of degree 4.
+    # h = g + 8 has the same type (its own order-1 residual is F).  g*h has
+    # order-1 residual F(y)^2, so the split happens at order 2, where the
+    # residual polynomials live over F_4.
+    g = x**4 + 2 * x**2 + 4
+    f = _krasner_perturbation(g, g + 8, 2, x + 1)
+    assert [(p.slope, p.local_degree) for p in padic_places(f, Q2)] == [
+        (Fraction(1, 2), 4), (Fraction(1, 2), 4),
+    ]
+    # (x - 3)^2 - 27 = x^2 - 6x - 18 at 3: residual (y - 1)^2 at slope 1, the
+    # refined key polynomial x - 3 shows slope 3/2: roots 3 +- 3 sqrt(3).
+    assert [(p.slope, p.local_degree) for p in padic_places(poly((-18, -6, 1)), PrimePower(3, 1))] == [
+        (Fraction(1), 2),
+    ]
+
+
+_SMALL_POLYS = st.tuples(
+    st.sampled_from([2, 3, 5, 7]),
+    st.lists(st.integers(-60, 60), min_size=2, max_size=7),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SMALL_POLYS, st.integers(-9, 9))
+def test_places_properties_at_q_equal_p(case, shift):
+    # For q = p, each finite invariant slope * [K_v : Q_p] = v_p(alpha) e f is
+    # an integer, so it is 0 mod 1; local degrees per slope reproduce the
+    # Newton polygon; and the local degrees of Q(alpha) = Q(alpha + s) do
+    # not depend on the integer translate s.
+    p, low = case
+    f = poly(low + [1])
+    if low[0] == 0 or not is_irreducible(f):
+        return
+    q = PrimePower(p, 1)
+    places = padic_places(f, q)
+    assert all((pl.slope * pl.local_degree).denominator == 1 for pl in places)
+    from_places = sorted(s for pl in places for s in [pl.slope] * pl.local_degree)
+    assert from_places == newton_polygon(f, q).slope_multiset()
+    moved = f.shift(shift)
+    if moved.constant_term != 0:
+        assert sorted(pl.local_degree for pl in padic_places(moved, q)) == sorted(
+            pl.local_degree for pl in places)
 
 
 def test_places_match_polygon(corpus_orbits):

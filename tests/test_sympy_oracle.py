@@ -6,8 +6,7 @@ in sympy: the charpoly of the Kronecker product of companion matrices, of the
 k-th compound matrix, and of (C + Q C^-1)^2 for the companion matrix C.
 Factorization over Q, Yun's squarefree decomposition and gcd/xgcd are
 checked against sympy's factor_list, sqf_list, gcd and gcdex, the CRT
-idempotents against cofactor inverses from sympy's invert, and discriminant
-valuations against sympy's discriminant.  Equality is exact.
+idempotents against cofactor inverses from sympy's invert.  Equality is exact.
 """
 
 from fractions import Fraction
@@ -25,7 +24,6 @@ from weilmot.exact_arith import (
     reciprocal_transform,
     tensor_charpoly,
 )
-from weilmot.padic import _discriminant_valuation
 from weilmot.poly import RationalPolynomial, poly, poly_product
 from weilmot.weil import _beta_squared_charpoly
 
@@ -219,30 +217,3 @@ def test_yun_squarefree_matches_sympy_sqf_list(rng):
     for p in cases + [c3]:
         expect = [(from_sympy(f).monic(), m) for f, m in sympy.sqf_list(to_sympy(p))[1]]
         assert _yun_squarefree(p) == expect, p
-
-
-def test_discriminant_valuation_matches_sympy(rng):
-    primes = (2, 3, 5, 7)
-    cases = [(f, p) for f in [random_squarefree(rng, 6) for _ in range(12)] + weil_shaped()[::2]
-             for p in primes]
-    for p in primes:
-        for _ in range(3):
-            # every coefficient below the leading one divisible by p
-            n = rng.randint(2, 9)
-            cases.append((poly([p * rng.randint(-4, 4) for _ in range(n)] + [1]), p))
-            # coefficients off the multiples of p divisible by p, so p | content(P')
-            n = p * rng.randint(1, 3)
-            cases.append((poly([rng.randint(-4, 4) * (1 if i % p == 0 else p)
-                                for i in range(n)] + [1]), p))
-    for _ in range(6):
-        # degree >= 10 with wider coefficients
-        f = poly([rng.randint(-30, 30) for _ in range(rng.randint(10, 16))] + [1])
-        cases += [(f, p) for p in primes]
-    checked = 0
-    for p_poly, p in cases:
-        disc = sympy.discriminant(to_sympy(p_poly))
-        if disc == 0:
-            continue
-        checked += 1
-        assert _discriminant_valuation(p_poly, p) == sympy.multiplicity(p, disc), (p_poly, p)
-    assert checked > len(cases) * 3 // 4
